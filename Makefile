@@ -2,6 +2,10 @@
 
 .PHONY: install kernel-ext test bench bench-perf bench-serve experiments examples lint fuzz trace-smoke serve serve-smoke verify clean
 
+# Run every target against this checkout's sources, installed or not
+# (the shell equivalent is PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}).
+export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
+
 install:
 	pip install -e . --no-build-isolation
 

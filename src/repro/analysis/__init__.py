@@ -6,8 +6,8 @@
 * :mod:`repro.analysis.linearizability` — Wing–Gong linearizability
   checking against any sequential spec;
 * :mod:`repro.analysis.properties` — per-run auditors for simulations;
-* :mod:`repro.analysis.intern` / :mod:`repro.analysis.symmetry` — the
-  fast-core substrate: dense configuration interning and opt-in
+* :mod:`repro.analysis.kernel` / :mod:`repro.analysis.symmetry` — the
+  fast-core substrate: the packed-state exploration kernel and opt-in
   symmetry reduction (see ``docs/performance.md``);
 * :mod:`repro.analysis.parallel` / :mod:`repro.analysis.cache` — the
   scale-out substrate: a crash-isolated multiprocessing work pool with
@@ -29,7 +29,6 @@ from .explorer import (
     Livelock,
     SafetyCounterexample,
 )
-from .intern import InternTable
 from .cache import (
     CacheIntegrityError,
     CacheStats,
@@ -106,7 +105,6 @@ __all__ = [
     "ExplorationResult",
     "Explorer",
     "InitialValencyReport",
-    "InternTable",
     "Livelock",
     "ProcessSymmetry",
     "groups_by_input",

@@ -34,18 +34,21 @@ packed-kernel rework its bookkeeping is built on four layers (see
 * **packed encoding** — every configuration is a fixed-width row of
   small integer codes (one per process local state, process status, and
   object state; :mod:`repro.analysis.kernel.encoding`), interned to a
-  dense id by the kernel backend. The PR-2 ``InternTable`` survives as
-  :class:`PackedConfigTable`, the same bijection API backed by rows;
+  dense id by the kernel backend and exposed through
+  :class:`PackedConfigTable`, a configuration <-> id bijection backed
+  by rows;
 * **batch frontier expansion** — :meth:`explore` hands the whole BFS to
   :meth:`KernelBackend.run_bfs`, which returns discovery order, parent
   edge triples, and truncation state in one call; applying a transition
   inside the kernel is integer arithmetic on three fields, and
   ``Configuration`` dataclasses are materialized lazily only at the API
   boundary (witness traces, result views, cache portability);
-* **successor memoization** — protocol semantics (invoke resolution,
-  outcome enumeration) are computed once per ``(pid, local state,
-  object state)`` and replayed from flat delta tables; object-level
-  views (:meth:`successors`, :meth:`step`) stay memoized per id;
+* **successor memoization** — protocol semantics reach the kernel
+  through two first-miss hooks, once per ``(pid, local state)`` and
+  ``(pid, local state, object state)`` key, and are replayed from flat
+  delta tables after that; behind the hooks each process step is
+  resolved once per explorer. Object-level views (:meth:`successors`,
+  :meth:`step`) stay memoized per id;
 * **symmetry reduction** (opt-in) — :meth:`explore` accepts a
   :class:`~repro.analysis.symmetry.ProcessSymmetry` and then walks only
   canonical representatives of process-permutation orbits; witness
@@ -89,14 +92,7 @@ from ..runtime.events import Abort, Decide, Halt, Invoke
 from ..runtime.process import ProcessAutomaton
 from ..types import ProcessId, Value
 from ..protocols.tasks import DecisionTask, SafetyVerdict
-from .kernel import (
-    PackedEncoder,
-    ProtocolTables,
-    compile_tables,
-    make_backend,
-    select_tables,
-    select_threads,
-)
+from .kernel import PackedEncoder, make_backend, select_threads
 from .kernel.encoding import FIELD_BITS  # noqa: F401  (re-exported for docs)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -188,16 +184,16 @@ class Edge:
 
 
 class PackedConfigTable:
-    """The ``InternTable`` bijection, backed by packed kernel rows.
+    """Configuration <-> dense id bijection, backed by packed kernel rows.
 
-    Keeps the exact PR-2 API (``intern``/``canonical``/``id_of``/
-    ``get_id``/``value``/``in``/``len``) so every analysis keyed on
-    intern ids works unchanged, but ids are allocated by the kernel
-    backend over structural integer rows. ``Configuration`` objects are
-    materialized lazily: :meth:`value` decodes a row on first request
-    and caches the instance, and configurations interned *as objects*
-    keep their identity (``canonical`` returns the first-seen object,
-    which is what lets status singletons survive round trips).
+    Offers ``intern``/``canonical``/``id_of``/``get_id``/``value``/
+    ``in``/``len`` to every analysis keyed on intern ids; ids are
+    allocated by the kernel backend over structural integer rows.
+    ``Configuration`` objects are materialized lazily: :meth:`value`
+    decodes a row on first request and caches the instance, and
+    configurations interned *as objects* keep their identity
+    (``canonical`` returns the first-seen object, which is what lets
+    status singletons survive round trips).
     """
 
     __slots__ = ("_encoder", "_backend", "_values")
@@ -646,20 +642,27 @@ class Explorer:
     — same orders, ids, verdicts, digests — so the choice is purely a
     throughput knob.
 
-    ``tables`` pre-compiles protocol semantics into flat tables ahead
-    of exploration (see :mod:`repro.analysis.kernel.tables`): pass a
-    :class:`ProtocolTables` compiled from the *same* ``objects`` and
-    ``processes`` (caller's contract — only the process/object counts
-    are checked), ``True``/``"on"`` to compile here, ``False``/``"off"``
-    to stay on callbacks, or ``None`` to defer to
-    ``REPRO_KERNEL_TABLES``. ``threads`` (or ``REPRO_KERNEL_THREADS``)
-    partitions each BFS frontier across OS threads in the compiled
-    backend. Both knobs are observable-identical on/off and for every
-    thread count — throughput only.
+    Protocol semantics reach the kernel along one lazy path: the first
+    time a BFS meets a (pid, local state) or (pid, local state, object
+    state) key, the backend calls :meth:`_resolve_invoke_codes` or
+    :meth:`_compute_delta_codes` once and replays the flat result ever
+    after. Behind those hooks the explorer resolves each process step
+    — the operation a local state invokes, and the edge, successor
+    local state and status of each (choice, response) it can receive —
+    once per explorer, so a delta miss costs one ``spec.responses``
+    call plus one object-code lookup per outcome.
 
-    All caches (intern table, successor memo, decision-set table) are
-    per-instance: one :class:`Explorer` = one protocol instance whose
-    transition relation is immutable, so the caches can never go stale.
+    ``threads`` (or ``REPRO_KERNEL_THREADS``) partitions each BFS
+    frontier across OS threads in the compiled backend's plan phase,
+    which reads the lazily filled tables; frontier members whose keys
+    still miss are expanded through the hooks in the serial commit.
+    Results are byte-identical for every thread count — throughput
+    only.
+
+    All caches (intern table, step memos, successor memo, decision-set
+    table) are per-instance: one :class:`Explorer` = one protocol
+    instance whose transition relation is immutable, so the caches can
+    never go stale.
     """
 
     def __init__(
@@ -667,7 +670,6 @@ class Explorer:
         objects: Mapping[str, SequentialSpec],
         processes: Sequence[ProcessAutomaton],
         kernel: Optional[str] = None,
-        tables=None,
         threads: Optional[int] = None,
     ) -> None:
         for automaton in processes:
@@ -712,13 +714,18 @@ class Explorer:
         self._succ_cache: Dict[int, Tuple[Tuple[Edge, int], ...]] = {}
         #: (id, pid) -> the pid's outgoing edges only (targeted step()).
         self._pid_cache: Dict[Tuple[int, ProcessId], Tuple[Tuple[Edge, int], ...]] = {}
-        #: per-object (state, operation) -> outcome tuple.
-        self._responses_cache: Tuple[Dict[Tuple[Hashable, Hashable], tuple], ...] = (
-            tuple({} for _ in self.specs)
-        )
-        #: per-pid local state -> absorbed status tuple.
-        self._status_cache: Tuple[Dict[Hashable, Tuple], ...] = tuple(
+        #: per-pid local state -> (absorbed status, next action).
+        self._settle_cache: Tuple[Dict[Hashable, Tuple], ...] = tuple(
             {} for _ in self.processes
+        )
+        #: per-pid local code -> the operation it invokes.
+        self._operations: Tuple[Dict[int, Hashable], ...] = tuple(
+            {} for _ in self.processes
+        )
+        #: per-pid (local code, choice, response) -> (edge id, new local
+        #: code, new status code): the process side of one outcome.
+        self._step_results: Tuple[Dict[Tuple, Tuple[int, int, int]], ...] = (
+            tuple({} for _ in self.processes)
         )
         #: (pid, choice, response) -> the one Edge object for it.
         self._edges: Dict[Tuple[ProcessId, int, Value], Edge] = {}
@@ -731,49 +738,9 @@ class Explorer:
         self._segment_cache: Dict[Tuple[int, ...], Tuple] = {}
         #: id -> reachable decision set (shared valency memo).
         self._decision_sets: Dict[int, FrozenSet[Value]] = {}
-        # -- compiled protocol tables --------------------------------
         #: Frontier threads for the batch BFS; results are
         #: byte-identical for every count (wall-clock knob only).
         self.kernel_threads: int = select_threads(threads)
-        #: The loaded ProtocolTables, or None in callback mode.
-        self.kernel_tables: Optional[ProtocolTables] = None
-        if isinstance(tables, ProtocolTables):
-            self._load_tables(tables)
-        elif select_tables(tables):
-            self._load_tables(compile_tables(objects, processes))
-
-    def _load_tables(self, tables: ProtocolTables) -> None:
-        """Adopt pre-compiled protocol tables (see ``kernel.tables``).
-
-        Replays the compiler's first-seen slot-code and edge-id
-        allocation sequences into this instance's encoder and edge
-        table — first-seen allocation reproduces identical codes —
-        then bulk-loads the backend maps. Keys the compiler did not
-        cover stay absent (the fallback sentinel) and take the
-        first-miss callback path unchanged.
-        """
-        if tables.n_processes != len(self.processes) or tables.n_objects != len(
-            self.specs
-        ):
-            raise AnalysisError(
-                "compiled tables do not match this protocol instance: "
-                f"tables are for {tables.n_processes} processes / "
-                f"{tables.n_objects} objects, explorer has "
-                f"{len(self.processes)} / {len(self.specs)}"
-            )
-        encoder = self._encoder
-        for pid, allocation in enumerate(tables.local_values):
-            for value in allocation:
-                encoder.local_code(pid, value)
-        for value in tables.status_values:
-            encoder.status_code(value)
-        for obj_index, allocation in enumerate(tables.object_values):
-            for value in allocation:
-                encoder.object_code(obj_index, value)
-        for pid, choice, response in tables.edges:
-            self._edge_id(pid, choice, response)
-        self._backend.load_tables(tables.invoke_entries, tables.delta_entries)
-        self.kernel_tables = tables
 
     # -- configuration construction -----------------------------------------
 
@@ -799,7 +766,7 @@ class Explorer:
         for pid in range(len(self.processes)):
             if statuses[pid] is not RUNNING:
                 continue
-            status = self._absorbed_status(pid, config.process_states[pid])
+            status = self._settle(pid, config.process_states[pid])[0]
             if status is not RUNNING:
                 statuses[pid] = status
                 changed = True
@@ -809,13 +776,14 @@ class Explorer:
             config.process_states, tuple(statuses), config.object_states
         )
 
-    def _absorbed_status(self, pid: ProcessId, state: Hashable) -> Tuple:
-        """The status a running process with local ``state`` settles to:
-        ``RUNNING`` while poised at an Invoke, else the terminal status
-        of its pending local action. Memoized per (pid, state)."""
-        cache = self._status_cache[pid]
-        status = cache.get(state)
-        if status is None:
+    def _settle(self, pid: ProcessId, state: Hashable) -> Tuple[Tuple, object]:
+        """``(status, next action)`` of a running process with local
+        ``state``. The status is ``RUNNING`` while poised at an Invoke,
+        else the terminal status of its pending local action. Memoized
+        per (pid, state), so each local state's action is asked once."""
+        cache = self._settle_cache[pid]
+        settled = cache.get(state)
+        if settled is None:
             action = self.processes[pid].cached_next_action(state)
             if isinstance(action, Invoke):
                 status = RUNNING
@@ -829,68 +797,23 @@ class Explorer:
                 # Unknown local action: leave the process running so the
                 # next expansion raises the seed's "unabsorbed" error.
                 status = RUNNING
-            cache[state] = status
-        return status
-
-    def _outcomes(
-        self, obj_index: int, obj_state: Hashable, operation: Hashable
-    ) -> tuple:
-        """Memoized ``spec.responses`` (pure per R004, hence cacheable)."""
-        cache = self._responses_cache[obj_index]
-        key = (obj_state, operation)
-        try:
-            return cache[key]
-        except KeyError:
-            outcomes = tuple(
-                self.specs[obj_index].responses(obj_state, operation)
-            )
-            cache[key] = outcomes
-            return outcomes
+            settled = cache[state] = (status, action)
+        return settled
 
     # -- kernel callbacks ------------------------------------------------------
     # The backend memoizes both callbacks in flat integer tables and
     # invokes them only on the first miss per key, in deterministic
     # (pid-ascending, outcome-order) sequence — which is what makes edge
-    # and configuration ids identical across backends.
+    # and configuration ids identical across backends. For each
+    # (pid, local code) key, ``_resolve_invoke_codes`` runs before any
+    # ``_compute_delta_codes`` call.
 
     def _resolve_invoke_codes(self, pid: ProcessId, local_code: int) -> int:
         """Kernel miss hook: the object index ``pid`` invokes from the
-        local state carrying ``local_code``."""
-        return self._resolve_invoke(
-            pid, self._encoder.local_value(pid, local_code)
-        )
-
-    def _compute_delta_codes(
-        self, pid: ProcessId, local_code: int, obj_index: int, obj_code: int
-    ) -> Tuple[Tuple[int, int, int, int], ...]:
-        """Kernel miss hook: one ``(edge id, new local code, new status
-        code, new object code)`` row per adversary choice for ``pid``
-        stepping against the object state carrying ``obj_code``."""
-        encoder = self._encoder
-        local_state = encoder.local_value(pid, local_code)
-        obj_state = encoder.object_value(obj_index, obj_code)
-        automaton = self.processes[pid]
-        action = automaton.cached_next_action(local_state)
-        assert isinstance(action, Invoke)
-        outcomes = self._outcomes(obj_index, obj_state, action.operation)
-        deltas = []
-        for choice, (new_obj, response) in enumerate(outcomes):
-            local = automaton.cached_transition(local_state, response)
-            status = self._absorbed_status(pid, local)
-            deltas.append(
-                (
-                    self._edge_id(pid, choice, response),
-                    encoder.local_code(pid, local),
-                    encoder.status_code(status),
-                    encoder.object_code(obj_index, new_obj),
-                )
-            )
-        return tuple(deltas)
-
-    def _resolve_invoke(self, pid: ProcessId, local_state: Hashable) -> int:
-        """The object index ``pid`` is poised to invoke in ``local_state``
-        (validating it is a well-formed Invoke on a known object)."""
-        action = self.processes[pid].cached_next_action(local_state)
+        local state carrying ``local_code`` (validating it is a
+        well-formed Invoke on a known object). Memoizes the invoked
+        operation for :meth:`_compute_delta_codes`."""
+        _, action = self._settle(pid, self._encoder.local_value(pid, local_code))
         if not isinstance(action, Invoke):
             raise AnalysisError(
                 f"process {pid} has unabsorbed local action {action!r}"
@@ -900,7 +823,53 @@ class Explorer:
             raise AnalysisError(
                 f"process {pid} invoked unknown object {action.obj!r}"
             )
+        self._operations[pid][local_code] = action.operation
         return obj_index
+
+    def _compute_delta_codes(
+        self, pid: ProcessId, local_code: int, obj_index: int, obj_code: int
+    ) -> Tuple[Tuple[int, int, int, int], ...]:
+        """Kernel miss hook: one ``(edge id, new local code, new status
+        code, new object code)`` row per adversary choice for ``pid``
+        stepping against the object state carrying ``obj_code``.
+
+        A miss costs one ``spec.responses`` call and one object-code
+        lookup per outcome; the process side of each outcome is resolved
+        once per (pid, local code, choice, response) by
+        :meth:`_step_result` and replayed after that."""
+        encoder = self._encoder
+        outcomes = self.specs[obj_index].responses(
+            encoder.object_value(obj_index, obj_code),
+            self._operations[pid][local_code],
+        )
+        results = self._step_results[pid]
+        object_code = encoder.object_code
+        deltas = []
+        for choice, (new_obj, response) in enumerate(outcomes):
+            key = (local_code, choice, response)
+            result = results.get(key)
+            if result is None:
+                result = results[key] = self._step_result(
+                    pid, local_code, choice, response
+                )
+            deltas.append(result + (object_code(obj_index, new_obj),))
+        return tuple(deltas)
+
+    def _step_result(
+        self, pid: ProcessId, local_code: int, choice: int, response: Value
+    ) -> Tuple[int, int, int]:
+        """``(edge id, new local code, new status code)`` of ``pid``
+        taking ``response`` as outcome ``choice`` from the local state
+        carrying ``local_code`` (codes and ids allocated first-seen)."""
+        encoder = self._encoder
+        local = self.processes[pid].cached_transition(
+            encoder.local_value(pid, local_code), response
+        )
+        return (
+            self._edge_id(pid, choice, response),
+            encoder.local_code(pid, local),
+            encoder.status_code(self._settle(pid, local)[0]),
+        )
 
     def _edge(self, pid: ProcessId, choice: int, response: Value) -> Edge:
         """The one memoized Edge object for (pid, choice, response)."""

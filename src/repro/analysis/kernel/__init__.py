@@ -3,10 +3,10 @@
 Two byte-identical backends implement one protocol (``KernelBackend``):
 
 * ``python`` — :class:`~repro.analysis.kernel._pycore.PyKernel`, a flat
-  big-int core with no compile step. The default.
+  big-int core with no build step, always available.
 * ``compiled`` — ``repro.analysis.kernel._ckernel``, a hand-written C
   extension built best-effort at install time (or via ``make
-  kernel-ext``). Opt-in; importing it is the only capability check.
+  kernel-ext``); importing it is the only capability check.
 
 Selection order: an explicit ``kernel=`` argument beats the
 ``REPRO_KERNEL`` environment variable beats ``auto`` (compiled when the
@@ -14,25 +14,28 @@ extension imports, python otherwise). Requesting ``compiled`` when the
 extension is absent is an error, never a silent fallback — ``auto`` is
 the spelling for "fastest available".
 
+Both backends run one lazy semantics path. Each interned configuration
+is a packed row of slot codes; expanding it looks up, per running
+process, a flat invoke entry keyed by ``(pid, local code)`` and a delta
+entry keyed by ``(pid, local code, object code)``. A key that misses
+calls back into the explorer (``resolve_invoke`` / ``compute_deltas``)
+exactly once, and the result is replayed from the backend's tables
+ever after; the explorer in turn resolves each process step once, so
+a miss costs about one ``spec.responses`` call.
+
 Both backends produce identical configuration ids, edge ids, and BFS
-orders by construction: ids are allocated in discovery order and all
-protocol semantics (invoke resolution, outcome enumeration, edge-id
-allocation) run through the same Python callbacks in the same
-deterministic sequence. Verdicts, seed digests, and cache keys are
-therefore byte-for-byte backend-independent, which is why the content-
-addressed cache fingerprint deliberately excludes the kernel name.
+orders by construction: ids are allocated in discovery order and the
+hooks run in the same deterministic (pid-ascending, outcome-order)
+sequence. Verdicts, seed digests, and cache keys are therefore
+byte-for-byte backend-independent, which is why the content-addressed
+cache fingerprint deliberately excludes the kernel name.
 
-Two further knobs ride the same environment-pinning scheme:
-
-* ``REPRO_KERNEL_TABLES`` / ``--kernel-tables`` — pre-compile protocol
-  semantics into flat tables (:mod:`~repro.analysis.kernel.tables`)
-  ahead of exploration, removing first-miss Python callbacks from the
-  cold path. Off by default.
-* ``REPRO_KERNEL_THREADS`` / ``--kernel-threads`` — partition each BFS
-  frontier across OS threads in the compiled backend's GIL-free plan
-  phase. Observable results are byte-identical for every thread count
-  (the commit phase is serial in frontier order), so this is purely a
-  wall-clock knob.
+``REPRO_KERNEL_THREADS`` / ``--kernel-threads`` rides the same
+environment-pinning scheme: it partitions each BFS frontier across OS
+threads in the compiled backend's GIL-free plan phase, which reads the
+lazily filled tables (members whose keys still miss go through the
+hooks in the serial commit). Observable results are byte-identical for
+every thread count, so this is purely a wall-clock knob.
 """
 
 from __future__ import annotations
@@ -44,38 +47,26 @@ from typing import Callable, Iterator, Optional, Tuple
 from ...errors import AnalysisError
 from .encoding import FIELD_BITS, MAX_CODE, PackedEncoder
 from ._pycore import PyKernel
-from .tables import DEFAULT_ENTRY_BUDGET, ProtocolTables, compile_tables
 
 __all__ = [
-    "DEFAULT_ENTRY_BUDGET",
     "FIELD_BITS",
     "MAX_CODE",
     "KERNEL_CHOICES",
-    "TABLES_CHOICES",
     "PackedEncoder",
-    "ProtocolTables",
     "PyKernel",
-    "compile_tables",
     "compiled_available",
     "kernel_env",
     "make_backend",
     "select",
-    "select_tables",
     "select_threads",
 ]
 
 #: Valid values for ``--kernel`` / ``REPRO_KERNEL`` / ``kernel=``.
 KERNEL_CHOICES = ("auto", "python", "compiled")
 
-#: Valid values for ``--kernel-tables`` / ``REPRO_KERNEL_TABLES``.
-TABLES_CHOICES = ("on", "off")
-
 #: Environment variable consulted when no explicit kernel is passed.
 #: Set by the CLI so forked/spawned pool workers inherit the choice.
 ENV_VAR = "REPRO_KERNEL"
-
-#: Environment twin of ``--kernel-tables`` ("on"/"1" or "off"/"0").
-TABLES_ENV_VAR = "REPRO_KERNEL_TABLES"
 
 #: Environment twin of ``--kernel-threads`` (a positive integer).
 THREADS_ENV_VAR = "REPRO_KERNEL_THREADS"
@@ -117,26 +108,6 @@ def select(kernel: Optional[str] = None) -> str:
             message += f"\nlast build attempt failed with:\n{build_error}"
         raise KernelUnavailableError(message)
     return kernel
-
-
-def select_tables(tables=None) -> bool:
-    """Resolve a table-compilation request to a concrete bool.
-
-    ``tables=None`` defers to ``REPRO_KERNEL_TABLES`` and then to off
-    (callback mode). Accepts bools or the ``"on"``/``"off"`` spellings
-    (plus ``"1"``/``"0"``) used by the CLI and the environment.
-    """
-    if tables is None:
-        tables = os.environ.get(TABLES_ENV_VAR) or "off"
-    if isinstance(tables, bool):
-        return tables
-    if tables in ("on", "1", "true"):
-        return True
-    if tables in ("off", "0", "false", ""):
-        return False
-    raise AnalysisError(
-        f"unknown kernel tables mode {tables!r}; choose one of {TABLES_CHOICES}"
-    )
 
 
 def select_threads(threads: Optional[int] = None) -> int:
@@ -186,16 +157,14 @@ def make_backend(
 
 @contextlib.contextmanager
 def kernel_env(
-    kernel: Optional[str],
-    tables=None,
-    threads: Optional[int] = None,
+    kernel: Optional[str], threads: Optional[int] = None
 ) -> Iterator[None]:
     """Pin the kernel environment knobs for the duration of a block.
 
     The API façades use this so pool workers — which re-build explorers
-    from module-level entry points — inherit the caller's kernel,
-    tables, and threads choices through the process environment under
-    both fork and spawn starts. ``None`` leaves a knob untouched.
+    from module-level entry points — inherit the caller's kernel and
+    threads choices through the process environment under both fork
+    and spawn starts. ``None`` leaves a knob untouched.
     """
     if kernel is not None and kernel not in KERNEL_CHOICES:
         raise AnalysisError(
@@ -204,8 +173,6 @@ def kernel_env(
     pins = {}
     if kernel is not None:
         pins[ENV_VAR] = kernel
-    if tables is not None:
-        pins[TABLES_ENV_VAR] = "on" if select_tables(tables) else "off"
     if threads is not None:
         pins[THREADS_ENV_VAR] = str(select_threads(threads))
     if not pins:

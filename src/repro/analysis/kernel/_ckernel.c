@@ -5,24 +5,21 @@
  * state — the packed encoding of repro.analysis.kernel.encoding), an
  * open-addressing row hash table, the per-(pid, local[, object-state])
  * invoke and delta tables, and the recorded adjacency lists. The BFS
- * (run_bfs) runs entirely in C; protocol semantics reach it two ways:
- *
- * - load_tables bulk-ingests compiled protocol tables (see
- *   repro.analysis.kernel.tables) ahead of exploration;
- * - on a table miss the kernel calls back into the explorer
- *   (resolve_invoke / compute_deltas) exactly once per key — the
- *   not-yet-compiled fallback sentinel is simply an empty map slot.
+ * (run_bfs) runs entirely in C; protocol semantics reach it through
+ * one lazy path: on a table miss the kernel calls back into the
+ * explorer (resolve_invoke / compute_deltas) exactly once per key and
+ * stores the result — a key not yet resolved is simply an empty map
+ * slot.
  *
  * run_bfs expands each frontier in two phases: a *plan* phase that
- * computes every successor row from the tables alone — pure C over
+ * computes successor rows from the tables filled so far — pure C over
  * immutable state, so the GIL is released and the frontier can be
  * partitioned across OS threads — and a serial *commit* phase that
  * interns the planned rows in frontier order (falling back to the
- * GIL-holding callbacks for cids whose tables missed). Because the
+ * GIL-holding callbacks for cids whose keys missed). Because the
  * commit replays the exact serial discovery sequence, configuration
  * ids, edge order, budget truncation, orders, parents, and digests
- * are byte-identical across backends, table/callback modes, and
- * thread counts.
+ * are byte-identical across backends and thread counts.
  *
  * All heap state uses the PyMem_Raw* allocators, which are legal
  * without the GIL; the low-level helpers never set Python errors
@@ -437,13 +434,9 @@ kernel_parse_row(KernelState *self, PyObject *codes, uint32_t *out)
     return 0;
 }
 
-/* Resolve the delta set for (pid, local, obj_index, obj_code), calling
- * back into Python on the first miss. Returns the delta-set id, -1 on
- * error. */
 /* Parse `outcomes` — a sequence of (eid, new_local, new_status,
  * new_obj) 4-tuples — into a new delta set registered under `dkey`.
- * Shared by the first-miss callback path and load_tables. Returns the
- * delta-set id, -1 with a Python error set. GIL held. */
+ * Returns the delta-set id, -1 with a Python error set. GIL held. */
 static Py_ssize_t
 kernel_store_delta_set(KernelState *self, uint64_t dkey, PyObject *outcomes)
 {
@@ -510,6 +503,9 @@ kernel_store_delta_set(KernelState *self, uint64_t dkey, PyObject *outcomes)
     return index;
 }
 
+/* Resolve the delta set for (pid, local, obj_index, obj_code), calling
+ * back into Python on the first miss. Returns the delta-set id, -1 on
+ * error. */
 static Py_ssize_t
 kernel_delta_set(KernelState *self, int pid, uint32_t local, int obj_index,
                  uint32_t obj_code)
@@ -1043,76 +1039,6 @@ KernelState_status_key(KernelState *self, PyObject *arg)
 }
 
 static PyObject *
-KernelState_load_tables(KernelState *self, PyObject *args)
-{
-    PyObject *invoke_entries, *delta_entries;
-    if (!PyArg_ParseTuple(args, "OO", &invoke_entries, &delta_entries)) {
-        return NULL;
-    }
-    PyObject *fast =
-        PySequence_Fast(invoke_entries, "invoke entries must be a sequence");
-    if (fast == NULL) {
-        return NULL;
-    }
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(fast);
-    PyObject **items = PySequence_Fast_ITEMS(fast);
-    for (Py_ssize_t i = 0; i < n; i++) {
-        int pid, obj_index;
-        unsigned int local;
-        if (!PyArg_ParseTuple(items[i], "iIi", &pid, &local, &obj_index)) {
-            Py_DECREF(fast);
-            return NULL;
-        }
-        if (pid < 0 || pid >= self->n_processes ||
-            local >= (1U << FIELD_BITS) || obj_index < 0 ||
-            2 * self->n_processes + obj_index >= self->n_fields) {
-            Py_DECREF(fast);
-            PyErr_SetString(PyExc_ValueError, "invoke entry out of range");
-            return NULL;
-        }
-        uint64_t ikey = ((uint64_t)pid << FIELD_BITS) | local;
-        if (u64map_set(&self->invoke, ikey, (int32_t)obj_index) < 0) {
-            Py_DECREF(fast);
-            return PyErr_NoMemory();
-        }
-    }
-    Py_DECREF(fast);
-    fast = PySequence_Fast(delta_entries, "delta entries must be a sequence");
-    if (fast == NULL) {
-        return NULL;
-    }
-    n = PySequence_Fast_GET_SIZE(fast);
-    items = PySequence_Fast_ITEMS(fast);
-    for (Py_ssize_t i = 0; i < n; i++) {
-        int pid, obj_index;
-        unsigned int local, obj_code;
-        PyObject *outcomes;
-        if (!PyArg_ParseTuple(items[i], "iIiIO", &pid, &local, &obj_index,
-                              &obj_code, &outcomes)) {
-            Py_DECREF(fast);
-            return NULL;
-        }
-        if (pid < 0 || pid >= self->n_processes ||
-            local >= (1U << FIELD_BITS) || obj_code >= (1U << FIELD_BITS)) {
-            Py_DECREF(fast);
-            PyErr_SetString(PyExc_ValueError, "delta entry out of range");
-            return NULL;
-        }
-        uint64_t dkey =
-            ((((uint64_t)pid << FIELD_BITS) | local) << FIELD_BITS) | obj_code;
-        if (u64map_get(&self->deltas, dkey) >= 0) {
-            continue; /* a first-miss memo already holds this key */
-        }
-        if (kernel_store_delta_set(self, dkey, outcomes) < 0) {
-            Py_DECREF(fast);
-            return NULL;
-        }
-    }
-    Py_DECREF(fast);
-    Py_RETURN_NONE;
-}
-
-static PyObject *
 KernelState_run_bfs(KernelState *self, PyObject *args)
 {
     Py_ssize_t start_id;
@@ -1438,8 +1364,6 @@ static PyMethodDef KernelState_methods[] = {
      "Flat [eid, tid, ...] for one pid; does not record adjacency."},
     {"status_key", (PyCFunction)KernelState_status_key, METH_O,
      "The process status codes of cid as a tuple."},
-    {"load_tables", (PyCFunction)KernelState_load_tables, METH_VARARGS,
-     "Bulk-ingest compiled protocol tables (invoke and delta entries)."},
     {"run_bfs", (PyCFunction)KernelState_run_bfs, METH_VARARGS,
      "Batch BFS: (order, parents, complete, expansions, rounds)."},
     {NULL, NULL, 0, NULL},

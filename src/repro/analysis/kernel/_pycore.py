@@ -74,36 +74,6 @@ class PyKernel:
         #: ((pid << F | local) << F | obj_code) -> ((eid, adjustment), ...).
         self._deltas: dict = {}
 
-    # -- compiled protocol tables ---------------------------------------------
-
-    def load_tables(self, invoke_entries, delta_entries) -> None:
-        """Bulk-ingest compiled protocol tables (see ``kernel.tables``).
-
-        Entries land in the same memo maps the first-miss callbacks
-        populate, so loaded keys never call back into Python; keys the
-        compiler did not cover stay absent — the fallback sentinel —
-        and take the callback path unchanged.
-        """
-        invoke = self._invoke
-        for pid, local, obj_index in invoke_entries:
-            invoke[(pid << FIELD_BITS) | local] = obj_index
-        n = self.n_processes
-        deltas = self._deltas
-        for pid, local, obj_index, obj_code, outcomes in delta_entries:
-            ikey = (pid << FIELD_BITS) | local
-            lshift = pid * FIELD_BITS
-            sshift = (n + pid) * FIELD_BITS
-            oshift = (2 * n + obj_index) * FIELD_BITS
-            deltas[(ikey << FIELD_BITS) | obj_code] = tuple(
-                (
-                    eid,
-                    ((new_local - local) << lshift)
-                    + (new_status << sshift)
-                    + ((new_obj - obj_code) << oshift),
-                )
-                for eid, new_local, new_status, new_obj in outcomes
-            )
-
     # -- interning ------------------------------------------------------------
 
     def intern_row(self, codes: Sequence[int]) -> int:

@@ -19,9 +19,9 @@ Two layers, one behaviour:
 Parameter conventions are uniform: ``jobs=`` (worker processes,
 ``1`` = inline), ``cache=``/``cache_dir=`` (the content-addressed
 exploration cache), ``seed=`` (campaign seed), ``kernel=`` (exploration
-backend: ``auto``/``python``/``compiled``), ``kernel_tables=`` /
-``kernel_threads=`` (table compilation and frontier threading — all
-observable-identical, pure throughput), ``trace=`` (a path: the call
+backend: ``auto``/``python``/``compiled``), ``kernel_threads=``
+(frontier threading in the compiled backend — both observable-identical,
+pure throughput), ``trace=`` (a path: the call
 records a JSONL trace there, see :mod:`repro.obs`). Every call opens an
 observation session — joining the ambient one when the CLI (or an
 outer call) already holds it — and embeds the deterministic metrics
@@ -80,7 +80,6 @@ def verify(
     cache: bool = False,
     cache_dir: Optional[str] = None,
     kernel: Optional[str] = None,
-    kernel_tables: Optional[str] = None,
     kernel_threads: Optional[int] = None,
     trace: Optional[str] = None,
 ) -> Report:
@@ -94,7 +93,6 @@ def verify(
                 cache=cache,
                 cache_dir=cache_dir,
                 kernel=kernel,
-                kernel_tables=kernel_tables,
                 kernel_threads=kernel_threads,
                 trace=trace,
             ),
@@ -107,7 +105,6 @@ def refute(
     candidate: Optional[str] = None,
     jobs: int = 1,
     kernel: Optional[str] = None,
-    kernel_tables: Optional[str] = None,
     kernel_threads: Optional[int] = None,
     trace: Optional[str] = None,
 ) -> Report:
@@ -119,7 +116,6 @@ def refute(
             options=ExecutionOptions(
                 jobs=jobs,
                 kernel=kernel,
-                kernel_tables=kernel_tables,
                 kernel_threads=kernel_threads,
                 trace=trace,
             ),
@@ -139,7 +135,6 @@ def fuzz(
     shrink: bool = True,
     max_steps: int = 64,
     kernel: Optional[str] = None,
-    kernel_tables: Optional[str] = None,
     kernel_threads: Optional[int] = None,
     trace: Optional[str] = None,
 ) -> Report:
@@ -158,7 +153,6 @@ def fuzz(
             options=ExecutionOptions(
                 jobs=jobs,
                 kernel=kernel,
-                kernel_tables=kernel_tables,
                 kernel_threads=kernel_threads,
                 trace=trace,
             ),
@@ -175,7 +169,6 @@ def explore(
     cache_dir: Optional[str] = None,
     max_configurations: int = 400_000,
     kernel: Optional[str] = None,
-    kernel_tables: Optional[str] = None,
     kernel_threads: Optional[int] = None,
     trace: Optional[str] = None,
 ) -> Report:
@@ -195,7 +188,6 @@ def explore(
                 cache=cache,
                 cache_dir=cache_dir,
                 kernel=kernel,
-                kernel_tables=kernel_tables,
                 kernel_threads=kernel_threads,
                 trace=trace,
             ),

@@ -59,11 +59,7 @@ def execute(request: Request, *, trace: Optional[Any] = None) -> Report:
     trace_path = trace if trace is not None else options.trace
     with obs.session(
         trace_path=trace_path, meta={"command": request.report_command}
-    ) as sess, kernel_env(
-        options.kernel,
-        tables=options.kernel_tables,
-        threads=options.kernel_threads,
-    ):
+    ) as sess, kernel_env(options.kernel, threads=options.kernel_threads):
         report = body(request)
         return report.with_metrics(sess.snapshot())
 

@@ -56,7 +56,6 @@ __all__ = [
 ]
 
 _KERNEL_CHOICES = (None, "auto", "python", "compiled")
-_TABLE_CHOICES = (None, "on", "off")
 
 
 def _require(condition: bool, message: str) -> None:
@@ -95,7 +94,7 @@ class ExecutionOptions:
 
     Every knob here is observable-identical by the library's
     determinism contract (reports are byte-identical across ``jobs``,
-    cache states, kernels, table modes, thread counts, and tracing), so
+    cache states, kernels, thread counts, and tracing), so
     none of them participates in :meth:`Request.fingerprint`.
     """
 
@@ -103,7 +102,6 @@ class ExecutionOptions:
     cache: bool = False
     cache_dir: Optional[str] = None
     kernel: Optional[str] = None
-    kernel_tables: Optional[str] = None
     kernel_threads: Optional[int] = None
     trace: Optional[str] = None
 
@@ -114,10 +112,6 @@ class ExecutionOptions:
         _require(
             self.kernel in _KERNEL_CHOICES,
             f"kernel must be one of {_KERNEL_CHOICES[1:]}, got {self.kernel!r}",
-        )
-        _require(
-            self.kernel_tables in _TABLE_CHOICES,
-            f"kernel_tables must be 'on' or 'off', got {self.kernel_tables!r}",
         )
         _check_opt_int("kernel_threads", self.kernel_threads, 1)
         _check_opt_str("trace", self.trace)

@@ -30,11 +30,9 @@ Commands:
 
 Exploration-heavy commands (``check-algorithm2``, ``refute``, ``fuzz``,
 ``explore``) accept ``--kernel {auto,python,compiled}`` to pick the
-packed-state exploration backend, ``--kernel-tables {on,off}`` to
-pre-compile protocol semantics into flat tables ahead of exploration,
-and ``--kernel-threads N`` to partition BFS frontiers across OS
-threads in the compiled backend (see ``docs/performance.md``); every
-combination produces byte-identical reports, verdicts, and cache keys.
+packed-state exploration backend and ``--kernel-threads N`` to
+partition BFS frontiers across OS threads in the compiled backend (see
+``docs/performance.md``); every combination produces byte-identical reports, verdicts, and cache keys.
 
 Every command builds a :class:`repro.reports.Report` and renders it
 through one renderer: ``--format text`` (default) prints the report
@@ -116,7 +114,6 @@ def _cmd_check_algorithm2(args: argparse.Namespace) -> Report:
         cache=args.cache,
         cache_dir=args.cache_dir,
         kernel=args.kernel,
-        kernel_tables=args.kernel_tables,
         kernel_threads=args.kernel_threads,
     )
 
@@ -128,7 +125,6 @@ def _cmd_refute(args: argparse.Namespace) -> Report:
         candidate=args.candidate,
         jobs=args.jobs,
         kernel=args.kernel,
-        kernel_tables=args.kernel_tables,
         kernel_threads=args.kernel_threads,
     )
 
@@ -147,7 +143,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> Report:
         shrink=args.shrink,
         max_steps=args.max_steps,
         kernel=args.kernel,
-        kernel_tables=args.kernel_tables,
         kernel_threads=args.kernel_threads,
     )
 
@@ -168,7 +163,6 @@ def _cmd_explore(args: argparse.Namespace) -> Report:
         cache_dir=args.cache_dir,
         max_configurations=args.max_configurations,
         kernel=args.kernel,
-        kernel_tables=args.kernel_tables,
         kernel_threads=args.kernel_threads,
     )
 
@@ -492,14 +486,6 @@ def _add_kernel_argument(parser: argparse.ArgumentParser) -> None:
         help="exploration backend (default: $REPRO_KERNEL or auto — "
         "compiled when the extension is built, python otherwise); all "
         "choices are byte-identical, see docs/performance.md",
-    )
-    parser.add_argument(
-        "--kernel-tables",
-        choices=("on", "off"),
-        default=None,
-        help="pre-compile protocol semantics into flat tables ahead of "
-        "exploration (default: $REPRO_KERNEL_TABLES or off); results "
-        "are byte-identical either way",
     )
     parser.add_argument(
         "--kernel-threads",

@@ -10,11 +10,14 @@ Covers the three layers of :mod:`repro.analysis.kernel`:
   backends (interning, rows, adjacency, targeted expansion, BFS with
   and without truncation, round events) is byte-identical. The
   compiled half skips gracefully when the extension is not built;
-* the tables/threads knobs — ``select_tables`` / ``select_threads`` /
-  the extended ``kernel_env``, the table compiler's determinism and
-  protocol-shape checks, load-time fallback for incomplete tables,
-  and thread-count byte-identity of the compiled BFS.
+* the threads knob — ``select_threads`` / ``kernel_env`` and
+  thread-count byte-identity of the compiled BFS;
+* the lazy miss path — on cold Algorithm 2 explorations each hook key
+  misses once, each miss asks the object spec once, each process step
+  is resolved once, and both backends see the same hook calls.
 """
+
+from collections import Counter
 
 import pytest
 
@@ -23,16 +26,12 @@ from repro.analysis.explorer import ABORTED, HALTED, RUNNING, Explorer
 from repro.analysis.kernel import (
     KERNEL_CHOICES,
     MAX_CODE,
-    TABLES_CHOICES,
     PackedEncoder,
-    ProtocolTables,
     PyKernel,
-    compile_tables,
     compiled_available,
     kernel_env,
     make_backend,
     select,
-    select_tables,
     select_threads,
 )
 from repro.core.pac import NPacSpec
@@ -274,24 +273,7 @@ class TestBackendEquivalence:
         ]
 
 
-class TestTablesAndThreadsSelection:
-    def test_tables_choices(self):
-        assert TABLES_CHOICES == ("on", "off")
-
-    def test_select_tables_defaults_and_spellings(self, monkeypatch):
-        monkeypatch.delenv(kernel_mod.TABLES_ENV_VAR, raising=False)
-        assert select_tables() is False
-        assert select_tables(True) is True
-        assert select_tables("on") is True
-        assert select_tables("1") is True
-        assert select_tables("off") is False
-        monkeypatch.setenv(kernel_mod.TABLES_ENV_VAR, "on")
-        assert select_tables() is True
-        # Explicit argument beats the environment.
-        assert select_tables("off") is False
-        with pytest.raises(AnalysisError, match="tables"):
-            select_tables("sometimes")
-
+class TestThreadsSelection:
     def test_select_threads_defaults_and_validation(self, monkeypatch):
         monkeypatch.delenv(kernel_mod.THREADS_ENV_VAR, raising=False)
         assert select_threads() == 1
@@ -306,104 +288,40 @@ class TestTablesAndThreadsSelection:
             with pytest.raises(AnalysisError, match="positive integer"):
                 select_threads(bad)
 
-    def test_kernel_env_pins_all_three_knobs(self, monkeypatch):
+    def test_kernel_env_pins_kernel_and_threads(self, monkeypatch):
         import os
 
-        for var in (
-            kernel_mod.ENV_VAR,
-            kernel_mod.TABLES_ENV_VAR,
-            kernel_mod.THREADS_ENV_VAR,
-        ):
+        for var in (kernel_mod.ENV_VAR, kernel_mod.THREADS_ENV_VAR):
             monkeypatch.delenv(var, raising=False)
-        with kernel_env("python", tables="on", threads=2):
+        with kernel_env("python", threads=2):
             assert os.environ[kernel_mod.ENV_VAR] == "python"
-            assert os.environ[kernel_mod.TABLES_ENV_VAR] == "on"
             assert os.environ[kernel_mod.THREADS_ENV_VAR] == "2"
-        for var in (
-            kernel_mod.ENV_VAR,
-            kernel_mod.TABLES_ENV_VAR,
-            kernel_mod.THREADS_ENV_VAR,
-        ):
+        for var in (kernel_mod.ENV_VAR, kernel_mod.THREADS_ENV_VAR):
             assert var not in os.environ
         # None leaves a knob untouched rather than pinning a default.
-        monkeypatch.setenv(kernel_mod.TABLES_ENV_VAR, "on")
-        with kernel_env(None, threads=1):
-            assert os.environ[kernel_mod.TABLES_ENV_VAR] == "on"
-            assert kernel_mod.ENV_VAR not in os.environ
-        assert kernel_mod.THREADS_ENV_VAR not in os.environ
-        with pytest.raises(AnalysisError, match="tables"):
-            with kernel_env(None, tables="sideways"):
+        monkeypatch.setenv(kernel_mod.THREADS_ENV_VAR, "3")
+        with kernel_env("python"):
+            assert os.environ[kernel_mod.THREADS_ENV_VAR] == "3"
+        with pytest.raises(AnalysisError, match="positive integer"):
+            with kernel_env(None, threads=0):
                 pass
 
 
-class TestTableCompiler:
-    def test_compile_is_deterministic_and_complete(self):
-        objects, processes = _algorithm2_protocol(3)
-        one = compile_tables(objects, processes)
-        two = compile_tables(objects, processes)
-        assert isinstance(one, ProtocolTables)
-        assert one.complete
-        assert one.entries > 0
-        # The tables — codes, edges, outcomes — are a pure function of
-        # the protocol, so two compiles compare equal structurally.
-        assert one == two
-
-    def test_explorer_rejects_mismatched_tables(self):
-        objects, processes = _algorithm2_protocol(2)
-        tables = compile_tables(objects, processes)
-        other_objects, other_processes = _algorithm2_protocol(3)
-        with pytest.raises(AnalysisError, match="do not match"):
-            Explorer(other_objects, other_processes, tables=tables)
-
-    def test_tables_true_compiles_in_constructor(self):
-        explorer = _algorithm2_explorer(2, tables=True)
-        assert explorer.kernel_tables is not None
-        assert explorer.kernel_tables.complete
-        baseline = _algorithm2_explorer(2).explore()
-        assert explorer.explore().order_ids == baseline.order_ids
-
-    @pytest.mark.parametrize("kernel", ["python", None])
-    def test_incomplete_tables_fall_back_to_callbacks(self, kernel):
-        """A starved entry budget yields partial tables; the missing
-        keys hit the first-miss callback and results do not move."""
-        objects, processes = _algorithm2_protocol(3)
-        partial = compile_tables(objects, processes, entry_budget=5)
-        assert not partial.complete
-        assert partial.entries <= 5
-        with_tables = Explorer(
-            objects, processes, kernel=kernel, tables=partial
-        ).explore()
-        without = Explorer(objects, processes, kernel=kernel).explore()
-        assert with_tables.order_ids == without.order_ids
-        assert with_tables.parent_ids == without.parent_ids
-        assert with_tables.to_portable() == without.to_portable()
-
-
 @needs_compiled
-class TestCompiledTablesAndThreads:
-    def test_load_tables_rejects_out_of_range_entries(self):
-        explorer = _algorithm2_explorer(2, kernel="compiled")
-        backend = explorer._backend
-        with pytest.raises(ValueError, match="invoke entry"):
-            backend.load_tables([(99, 0, 0)], [])
-        with pytest.raises(ValueError, match="delta entry"):
-            backend.load_tables([], [(-1, 0, 0, 0, ())])
-        with pytest.raises(TypeError):
-            backend.load_tables([("pid", 0, 0)], [])
-
+class TestCompiledThreads:
     @pytest.mark.parametrize("threads", [2, 4])
     def test_bfs_byte_identical_across_thread_counts(self, threads):
+        """Cold (every key misses and takes the serial commit's hook
+        path) and warm (the plan phase reads the filled tables): the
+        thread count never moves ids, parents, or round events."""
         objects, processes = _algorithm2_protocol(3)
-        tables = compile_tables(objects, processes)
 
-        def observe(thread_count, budget=200_000):
+        def observe(thread_count, budget=200_000, warm=False):
             explorer = Explorer(
-                objects,
-                processes,
-                kernel="compiled",
-                tables=tables,
-                threads=thread_count,
+                objects, processes, kernel="compiled", threads=thread_count
             )
+            if warm:
+                explorer.explore()
             start = explorer.intern_id(explorer.initial_configuration())
             rounds = []
             out = explorer._backend.run_bfs(
@@ -416,9 +334,12 @@ class TestCompiledTablesAndThreads:
             )
             return [list(out[0]), list(out[1]), *out[2:], rounds]
 
-        assert observe(threads) == observe(1)
-        for budget in (1, 3, 17, 50):
-            assert observe(threads, budget) == observe(1, budget)
+        for warm in (False, True):
+            assert observe(threads, warm=warm) == observe(1, warm=warm)
+            for budget in (1, 3, 17, 50):
+                assert observe(threads, budget, warm) == observe(
+                    1, budget, warm
+                )
 
     def test_threads_clamped_to_extension_maximum(self):
         from repro.analysis.kernel import _ckernel
@@ -430,28 +351,72 @@ class TestCompiledTablesAndThreads:
         baseline = _algorithm2_explorer(2, kernel="compiled").explore()
         assert explorer.explore().order_ids == baseline.order_ids
 
-    def test_tables_skip_callbacks_on_the_cold_path(self):
-        """With complete tables loaded, a cold exhaustive BFS consults
-        the Python callbacks zero times."""
-        objects, processes = _algorithm2_protocol(3)
-        tables = compile_tables(objects, processes)
-        explorer = Explorer(
-            objects, processes, kernel="compiled", tables=tables
-        )
-        calls = {"invoke": 0, "deltas": 0}
-        original_invoke = explorer._resolve_invoke_codes
-        original_deltas = explorer._compute_delta_codes
 
-        def counting_invoke(*args):
-            calls["invoke"] += 1
-            return original_invoke(*args)
+def _counted_exploration(monkeypatch, n, kernel):
+    """A cold Algorithm 2 exploration at size ``n`` with every call on
+    the miss path recorded."""
+    objects, processes = _algorithm2_protocol(n)
+    calls = {"hook": [], "responses": [], "next_action": [], "transition": []}
+    spec = objects["PAC"]
+    responses = spec.responses
 
-        def counting_deltas(*args):
-            calls["deltas"] += 1
-            return original_deltas(*args)
+    def counting_responses(state, operation):
+        calls["responses"][-1] += 1  # one counter per hook call
+        return responses(state, operation)
 
-        explorer._resolve_invoke_codes = counting_invoke
-        explorer._compute_delta_codes = counting_deltas
-        result = explorer.explore()
-        assert result.complete
-        assert calls == {"invoke": 0, "deltas": 0}
+    spec.responses = counting_responses
+    for auto in processes:
+
+        def next_action(state, pid=auto.pid, inner=auto.cached_next_action):
+            calls["next_action"].append((pid, state))
+            return inner(state)
+
+        def transition(state, response, pid=auto.pid, inner=auto.cached_transition):
+            calls["transition"].append((pid, state, response))
+            return inner(state, response)
+
+        auto.cached_next_action = next_action
+        auto.cached_transition = transition
+    hook = Explorer._compute_delta_codes
+
+    def counting_hook(self, *key):
+        calls["responses"].append(0)
+        deltas = hook(self, *key)
+        calls["hook"].append((key, deltas))
+        return deltas
+
+    monkeypatch.setattr(Explorer, "_compute_delta_codes", counting_hook)
+    explorer = Explorer(objects, processes, kernel=kernel)
+    result = explorer.explore()
+    monkeypatch.undo()
+    return explorer, result, calls
+
+
+class TestLazyMissPath:
+    @pytest.mark.parametrize("n, size", [(5, 976), (6, 3369)])
+    def test_each_step_resolves_once(self, monkeypatch, n, size):
+        _, result, calls = _counted_exploration(monkeypatch, n, "python")
+        assert result.complete and len(result) == size
+        keys = [key for key, _ in calls["hook"]]
+        assert len(keys) == len(set(keys)), "a hook key missed twice"
+        assert max(calls["responses"]) == 1, "two spec calls in one miss"
+        # Process steps: the action of each (pid, local state), and the
+        # successor of each (pid, local code, edge) result.
+        assert max(Counter(calls["next_action"]).values()) == 1
+        results = {
+            (key[0], key[1], delta[0])
+            for key, deltas in calls["hook"]
+            for delta in deltas
+        }
+        assert len(calls["transition"]) <= len(results)
+        assert max(Counter(calls["transition"]).values()) == 1
+
+    @needs_compiled
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_backends_share_hook_calls_and_graphs(self, monkeypatch, n):
+        _, py_result, py_calls = _counted_exploration(monkeypatch, n, "python")
+        _, c_result, c_calls = _counted_exploration(monkeypatch, n, "compiled")
+        assert py_calls == c_calls
+        assert py_result.order_ids == c_result.order_ids
+        assert py_result.parent_ids == c_result.parent_ids
+        assert py_result.to_portable() == c_result.to_portable()

@@ -66,7 +66,7 @@ class TestFingerprints:
             ExecutionOptions(cache=True),
             ExecutionOptions(cache=True, cache_dir="/tmp/elsewhere"),
             ExecutionOptions(kernel="python"),
-            ExecutionOptions(kernel_tables="on", kernel_threads=2),
+            ExecutionOptions(kernel_threads=2),
             ExecutionOptions(trace="/tmp/trace.jsonl"),
         ):
             assert (
@@ -140,7 +140,7 @@ class TestValidation:
             lambda: ExploreRequest(max_configurations=0),
             lambda: ExecutionOptions(jobs=0),
             lambda: ExecutionOptions(kernel="fortran"),
-            lambda: ExecutionOptions(kernel_tables="maybe"),
+            lambda: ExecutionOptions(trace=5),
             lambda: ExecutionOptions(kernel_threads=0),
             lambda: ExecutionOptions(cache="yes"),
         ],

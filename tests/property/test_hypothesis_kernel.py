@@ -9,9 +9,11 @@ Three families:
   is a pure function of *insertion order*, never of ``hash()`` values,
   re-checked in subprocesses under varied ``PYTHONHASHSEED`` (the R001
   replayability contract extended down to the slot-code layer);
-* **backend equivalence** — for arbitrary exploration budgets, the
-  python and compiled backends produce identical orders, parents, and
-  truncation verdicts (skipped when the extension is not built).
+* **backend equivalence** — for every registered protocol family (the
+  doomed-candidate suite plus Algorithm 2), arbitrary exploration
+  budgets, and frontier thread counts 1 and 2, the python and compiled
+  backends produce identical orders, parents, and truncation verdicts
+  (skipped when the extension is not built).
 """
 
 import hashlib
@@ -26,6 +28,7 @@ from hypothesis import strategies as st
 from repro.analysis.explorer import ABORTED, HALTED, RUNNING, Explorer
 from repro.analysis.kernel import PackedEncoder, compiled_available
 from repro.core.pac import NPacSpec
+from repro.protocols.candidates import all_candidates
 from repro.protocols.dac_from_pac import algorithm2_processes
 
 SEED_STATUSES = (RUNNING, HALTED, ABORTED)
@@ -133,28 +136,27 @@ class TestHashSeedIndependence:
     reason="compiled kernel extension not built (run `make kernel-ext`)",
 )
 class TestBackendEquivalenceProperty:
-    @given(st.integers(min_value=1, max_value=400))
+    @given(
+        st.integers(min_value=0, max_value=len(all_candidates()) + 1),
+        st.integers(min_value=1, max_value=400),
+        st.sampled_from((1, 2)),
+    )
     @settings(max_examples=30, deadline=None)
-    def test_bfs_identical_at_any_budget(self, budget):
+    def test_bfs_identical_at_any_budget(self, family, budget, threads):
+        candidates = all_candidates()
         observed = {}
         for kernel in ("python", "compiled"):
-            explorer = Explorer(
-                {"PAC": NPacSpec(2)},
-                algorithm2_processes((1, 0)),
-                kernel=kernel,
-            )
+            if family < len(candidates):
+                objects = candidates[family].objects
+                processes = candidates[family].processes
+            else:
+                inputs = (1,) + (0,) * (family - len(candidates) + 1)
+                objects = {"PAC": NPacSpec(len(inputs))}
+                processes = algorithm2_processes(inputs)
+            explorer = Explorer(objects, processes, kernel=kernel)
             start = explorer.intern_id(explorer.initial_configuration())
-            observed[kernel] = explorer._backend.run_bfs(start, budget)
-        py_order, py_parents, py_complete, py_exp, py_rounds = observed[
-            "python"
-        ]
-        cc_order, cc_parents, cc_complete, cc_exp, cc_rounds = observed[
-            "compiled"
-        ]
-        assert list(py_order) == list(cc_order)
-        assert list(py_parents) == list(cc_parents)
-        assert (py_complete, py_exp, py_rounds) == (
-            cc_complete,
-            cc_exp,
-            cc_rounds,
-        )
+            order, parents, *rest = explorer._backend.run_bfs(
+                start, budget, None, threads
+            )
+            observed[kernel] = (list(order), list(parents), *rest)
+        assert observed["python"] == observed["compiled"]
