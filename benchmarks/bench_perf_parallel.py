@@ -14,9 +14,14 @@ Two entries in ``BENCH_perf.json``:
   :class:`ExplorationCache` (cold: every instance explored and stored)
   and again (warm: every instance a content-addressed hit, zero
   exploration), with hit/miss counts and the warm-over-cold speedup.
+* ``cache_explore_hit`` — ``repro explore`` with the paper's inputs at
+  n=6/7/8, measured at the ``repro.api.execute`` boundary: the cold
+  explore (cache off), an exploration-cache hit (the packed entry
+  loaded in bulk and replayed), and the entry's size on disk.
 
 ``REPRO_PERF_SCALE=tiny`` drops the sweep from n=5 (32 assignments)
-to n=3 (8 assignments) for the CI smoke job.
+to n=3 (8 assignments), and the explore sizes to n=3/4, for the CI
+smoke job.
 """
 
 import multiprocessing
@@ -30,6 +35,7 @@ from repro.analysis.parallel import (
     WorkItem,
     algorithm2_instance_check,
 )
+from repro.api import ExecutionOptions, ExploreRequest, execute
 from repro.protocols.tasks import DacDecisionTask
 
 
@@ -153,3 +159,43 @@ class TestCacheColdWarm:
 
         verdicts = benchmark(sweep)
         assert all(entry["ok"] for entry in verdicts)
+
+
+class TestCacheExploreHit:
+    def test_bench_explore_hit_vs_cold(self, tmp_path, benchmark):
+        sizes = (3, 4) if perf_scale() == "tiny" else (6, 7, 8)
+        fields = {}
+        for n in sizes:
+            cache_dir = tmp_path / f"explore-{n}"
+            cold = ExploreRequest(n=n)
+            cached = ExploreRequest(
+                n=n, options=ExecutionOptions(cache=True, cache_dir=str(cache_dir))
+            )
+            cold_timing = timed(lambda: execute(cold), repeats=3)
+            assert execute(cached).data["cache_hit"] is False
+            hit_timing = timed(lambda: execute(cached), repeats=5)
+            assert hit_timing.result.data["cache_hit"] is True
+            assert (
+                hit_timing.result.data["configurations"]
+                == cold_timing.result.data["configurations"]
+            )
+            [entry] = list(cache_dir.glob("*/*.pkl"))
+            fields[f"n{n}_configurations"] = cold_timing.result.data["configurations"]
+            fields[f"n{n}_cold_wall_seconds"] = cold_timing.median
+            fields[f"n{n}_cold_best_wall_seconds"] = cold_timing.best
+            fields[f"n{n}_hit_wall_seconds"] = hit_timing.median
+            fields[f"n{n}_hit_best_wall_seconds"] = hit_timing.best
+            fields[f"n{n}_hit_speedup"] = cold_timing.median / hit_timing.median
+            fields[f"n{n}_entry_bytes"] = entry.stat().st_size
+
+        record(
+            "cache_explore_hit",
+            sizes=list(sizes),
+            cpu_count=multiprocessing.cpu_count(),
+            repeats=5,
+            cold_repeats=3,
+            **fields,
+        )
+
+        report = benchmark(lambda: execute(cached))
+        assert report.data["cache_hit"] is True

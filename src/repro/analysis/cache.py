@@ -28,14 +28,28 @@ sha256 digest plus the pickled payload. Writes are atomic
 and reported as a miss, never returned. ``<root>`` defaults to
 ``$REPRO_CACHE_DIR`` or ``.repro-cache`` under the working directory.
 
+Exploration entries
+-------------------
+
+:func:`explore_cached` stores a graph in the kernel's own packed form
+(:meth:`~repro.analysis.explorer.ExplorationResult.to_portable`): the
+encoder's code tables, the edge table, every interned row as one
+32-bit array, and the recorded flat adjacency with its offsets, plus
+``complete`` and the walk budget. Order and parents are not stored. A
+hit loads the entry into the caller's *fresh* explorer in bulk
+(:meth:`~repro.analysis.explorer.Explorer.adopt_portable`) and replays
+the ordinary kernel BFS over the loaded adjacency, which rebuilds them
+byte for byte without a single protocol hook call.
+
 Warm-hit validation
 -------------------
 
-:func:`explore_cached` additionally stores a :func:`graph_digest` —
-a repr-based sha256 over the portable graph, the same style of digest
-``tests/integration/test_fast_core_equivalence.py`` pins the fast core
-against. On every warm hit the digest is recomputed from the
-*rehydrated* payload and compared; a stale or hash-seed-dependent entry
+Each entry carries a :func:`graph_digest`: sha256 over the arrays'
+bytes plus a ``repr`` rendering of the small tables, which is
+independent of ``PYTHONHASHSEED``. Every hit recomputes it, and the
+bulk load then checks the entry against the explorer's protocol (code
+ranges, edge and id bounds, the initial configuration, a replay that
+stays inside the loaded adjacency). A stale, corrupt or foreign entry
 raises :class:`CacheIntegrityError` instead of silently changing a
 verdict.
 """
@@ -59,7 +73,7 @@ from typing import (
 )
 
 from .. import obs
-from ..errors import CacheIntegrityError
+from ..errors import AnalysisError, CacheIntegrityError
 from ..types import Value
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -79,7 +93,8 @@ __all__ = [
 
 
 #: Bumped whenever the payload layout changes; part of every fingerprint.
-CACHE_SCHEMA = 1
+#: 2: exploration entries hold the packed kernel form.
+CACHE_SCHEMA = 2
 
 _PACKAGE_ROOT = Path(__file__).resolve().parent.parent
 
@@ -276,26 +291,32 @@ class ExplorationCache:
 
 
 def graph_digest(portable: Mapping[str, Any]) -> str:
-    """Repr-based sha256 over a portable exploration graph.
+    """sha256 over a packed exploration entry.
 
-    The portable form is built from lists, tuples, ints and hashable
-    leaf values in deterministic (BFS) order, so its ``repr`` is
-    bit-stable across interpreter runs and ``PYTHONHASHSEED`` values —
-    the same style of digest the fast-core equivalence tests pin the
-    explorer against.
+    The small tables (code tables, edges, operations, ``complete``,
+    budget) are plain tuples of values with deterministic ``repr``, so
+    their rendering is bit-stable across interpreter runs and
+    ``PYTHONHASHSEED`` values; the row and adjacency arrays are hashed
+    as their bytes, each prefixed by its length.
     """
-    parts = (
-        portable["complete"],
-        portable["nodes"],
-        portable["order_len"],
-        portable["successors"],
-        portable["parents"],
-        portable["reduced"],
-        portable["source_node"],
-        portable["initial_permutation"],
-        portable["parent_perms"],
+    blob = hashlib.sha256(
+        repr(
+            (
+                portable["complete"],
+                portable["budget"],
+                portable["locals"],
+                portable["statuses"],
+                portable["objects"],
+                portable["edges"],
+                portable["operations"],
+            )
+        ).encode()
     )
-    return hashlib.sha256(repr(parts).encode()).hexdigest()
+    for name in ("rows", "adjacency", "offsets"):
+        data = portable[name]
+        blob.update(b"%d:" % len(data))
+        blob.update(data)
+    return blob.hexdigest()
 
 
 def explore_cached(
@@ -305,7 +326,7 @@ def explore_cached(
     max_configurations: int = 200_000,
     include_decision_table: bool = False,
 ) -> Tuple["ExplorationResult", bool]:
-    """Explore via ``explorer`` or rehydrate a cached graph.
+    """Explore via ``explorer``, or load a cached graph into it.
 
     ``components`` must identify the *instance* (factory identity, n,
     inputs, options); explorer options that change the graph belong in
@@ -314,8 +335,10 @@ def explore_cached(
     computed on the miss path and its table rides along in the entry,
     so warm hits answer valency queries without any traversal.
 
-    On a warm hit the stored :func:`graph_digest` is recomputed from
-    the rehydrated payload; a mismatch raises
+    ``explorer`` must be fresh: a hit bulk-loads the entry into it.
+    On a hit the stored :func:`graph_digest` is recomputed from the
+    payload, and the load checks the entry against the explorer's
+    protocol; a mismatch or a failed check raises
     :class:`CacheIntegrityError` (stale entries must fail loudly, not
     alter verdicts).
     """
@@ -331,17 +354,20 @@ def explore_cached(
     fp = fingerprint(**full_components)
     payload = cache.get(fp)
     if payload is not None:
-        if graph_digest(payload["portable"]) != payload["graph_digest"]:
+        try:
+            if graph_digest(payload["portable"]) != payload["graph_digest"]:
+                raise ValueError("graph digest mismatch")
+            result = explorer.adopt_portable(payload["portable"])
+            decision_sets = payload["decision_sets"]
+            if decision_sets is not None:
+                _install_decision_sets(explorer, result, decision_sets)
+        except (AnalysisError, LookupError, TypeError, ValueError) as exc:
             obs.counter("cache.integrity_failures")
             obs.event("cache.integrity_failure", fp=fp[:12])
             raise CacheIntegrityError(
-                "cached exploration graph failed digest validation "
-                f"(entry {fp[:12]}…): stale or corrupt entry"
-            )
-        result = explorer.adopt_portable(payload["portable"])
-        decision_sets = payload.get("decision_sets")
-        if decision_sets is not None:
-            _install_decision_sets(explorer, result, decision_sets)
+                f"cached exploration graph failed validation (entry "
+                f"{fp[:12]}…): stale or corrupt entry: {exc}"
+            ) from exc
         return result, True
 
     result = explorer.explore(max_configurations=max_configurations)
@@ -367,6 +393,8 @@ def _install_decision_sets(
 ) -> None:
     """Seed the explorer's shared decision-set table from a cached
     per-position list (aligned with ``result.order_ids``)."""
+    if len(decision_sets) != len(result.order_ids):
+        raise ValueError("decision sets do not match the graph's order")
     table: Dict[int, FrozenSet[Value]] = explorer._decision_sets
     for cid, values in zip(result.order_ids, decision_sets):
         table[cid] = frozenset(values)

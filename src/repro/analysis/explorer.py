@@ -42,7 +42,9 @@ packed-kernel rework its bookkeeping is built on four layers (see
   edge triples, and truncation state in one call; applying a transition
   inside the kernel is integer arithmetic on three fields, and
   ``Configuration`` dataclasses are materialized lazily only at the API
-  boundary (witness traces, result views, cache portability);
+  boundary (witness traces, result views); the exploration cache
+  stores and reloads the kernel's packed rows and adjacency directly
+  (:meth:`ExplorationResult.to_portable`, :meth:`Explorer.adopt_portable`);
 * **successor memoization** — protocol semantics reach the kernel
   through two first-miss hooks, once per ``(pid, local state)`` and
   ``(pid, local state, object state)`` key, and are replayed from flat
@@ -93,6 +95,7 @@ from ..runtime.process import ProcessAutomaton
 from ..types import ProcessId, Value
 from ..protocols.tasks import DecisionTask, SafetyVerdict
 from .kernel import PackedEncoder, make_backend, select_threads
+from .kernel import select as select_kernel
 from .kernel.encoding import FIELD_BITS  # noqa: F401  (re-exported for docs)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -105,12 +108,6 @@ ABORTED = ("aborted",)
 
 #: A process permutation: ``perm[i]`` is the new pid of old pid ``i``.
 Permutation = Tuple[int, ...]
-
-#: Status canonicalization for rehydrated graphs: statuses loaded from
-#: a cache or a worker arrive as equal-but-distinct tuples, while the
-#: calculus compares them by identity (``status is RUNNING``).
-_STATUS_SINGLETONS = {RUNNING: RUNNING, HALTED: HALTED, ABORTED: ABORTED}
-
 
 def _decided(value: Value) -> Tuple[str, Value]:
     return ("decided", value)
@@ -276,9 +273,10 @@ class ExplorationResult:
     Int-keyed views (``order_ids``, ``successor_ids``, ``parent_ids``
     over ``intern`` ids) mirror the object-keyed fields for analyses
     that prefer dense bookkeeping (the valency fixpoint does). For a
-    kernel-built graph, ``successor_ids`` is materialized lazily from
-    the backend's flat adjacency — the BFS itself never builds
-    per-configuration edge tuples.
+    kernel-built graph, ``successor_ids`` and ``parent_ids`` are
+    materialized lazily from the backend's flat adjacency and parent
+    triples — the BFS itself never builds per-configuration edge
+    tuples.
 
     When the graph was built under symmetry reduction (``reduced``),
     configurations are canonical orbit representatives:
@@ -295,15 +293,16 @@ class ExplorationResult:
         "complete",
         "intern",
         "order_ids",
-        "parent_ids",
         "reduced",
         "source_initial",
         "initial_permutation",
         "parent_perms",
         "expansions",
+        "max_configurations",
+        "_explorer",
         "_successor_ids",
-        "_edge_resolver",
-        "_adjacency",
+        "_parent_ids",
+        "_parent_triples",
         "_order",
         "_configurations",
         "_successors",
@@ -323,16 +322,14 @@ class ExplorationResult:
         initial_permutation: Optional[Permutation] = None,
         parent_perms: Optional[Dict[int, Permutation]] = None,
         expansions: int = 0,
-        edge_resolver: Optional[Callable[[int], Edge]] = None,
-        adjacency: Optional[Callable[[int], Sequence[int]]] = None,
+        max_configurations: int = 0,
+        explorer: Optional["Explorer"] = None,
+        parent_triples: Optional[Sequence[int]] = None,
     ) -> None:
         self.initial = initial
         self.complete = complete
         self.intern = intern
         self.order_ids: List[int] = order_ids if order_ids is not None else []
-        self.parent_ids: Dict[int, Tuple[int, Edge]] = (
-            parent_ids if parent_ids is not None else {}
-        )
         self.reduced = reduced
         self.source_initial = source_initial
         self.initial_permutation = initial_permutation
@@ -342,11 +339,15 @@ class ExplorationResult:
         #: How many leading entries of ``order_ids`` were expanded (all
         #: of them for a complete graph; the truncation point otherwise).
         self.expansions = expansions
-        # Either an explicit relation (reduced/adopted graphs) or the
-        # ingredients to materialize one lazily (kernel graphs).
+        #: The walk's configuration budget (what a replay must pass).
+        self.max_configurations = max_configurations
+        # Either explicit relations (reduced graphs) or the explorer
+        # whose kernel materializes them lazily: the recorded adjacency
+        # and the walk's flat [tid, src, eid, ...] parent triples.
+        self._explorer = explorer
         self._successor_ids = successor_ids
-        self._edge_resolver = edge_resolver
-        self._adjacency = adjacency
+        self._parent_ids = parent_ids
+        self._parent_triples = parent_triples
         # Lazily materialized object-keyed views (see the properties
         # below): the hot path never touches them, so their cost is paid
         # only by analyses that want Configuration-keyed dictionaries.
@@ -365,22 +366,43 @@ class ExplorationResult:
 
         Kernel-built graphs materialize this view on first access from
         the backend's flat adjacency, in expansion (= discovery) order —
-        the portable rendering and every digest depend on that order.
+        every digest over this view depends on that order.
         """
         if self._successor_ids is None:
-            assert self._edge_resolver is not None
-            assert self._adjacency is not None
-            resolve = self._edge_resolver
-            expand = self._adjacency
+            assert self._explorer is not None
+            edge_list = self._explorer._edge_list
+            expand = self._explorer._backend.expand
             table: Dict[int, Tuple[Tuple[Edge, int], ...]] = {}
             for cid in self.order_ids[: self.expansions]:
                 flat = expand(cid)
                 table[cid] = tuple(
-                    (resolve(flat[k]), flat[k + 1])
+                    (edge_list[flat[k]], flat[k + 1])
                     for k in range(0, len(flat), 2)
                 )
             self._successor_ids = table
         return self._successor_ids
+
+    @property
+    def parent_ids(self) -> Dict[int, Tuple[int, Edge]]:
+        """id -> (parent id, edge) for every reached non-root id.
+
+        Kernel-built graphs build this on first access from the walk's
+        flat parent triples; most callers (counts, safety audits that
+        find nothing) never ask.
+        """
+        if self._parent_ids is None:
+            table: Dict[int, Tuple[int, Edge]] = {}
+            if self._parent_triples is not None:
+                assert self._explorer is not None
+                edge_list = self._explorer._edge_list
+                triples = iter(self._parent_triples)
+                table = {
+                    tid: (cid, edge_list[eid])
+                    for tid, cid, eid in zip(triples, triples, triples)
+                }
+                self._parent_triples = None
+            self._parent_ids = table
+        return self._parent_ids
 
     def successor_tid_rows(self) -> Dict[int, Tuple[int, ...]]:
         """id -> successor ids only — no Edge materialization.
@@ -394,8 +416,8 @@ class ExplorationResult:
                 cid: tuple(tid for _edge, tid in entries)
                 for cid, entries in self._successor_ids.items()
             }
-        assert self._adjacency is not None
-        expand = self._adjacency
+        assert self._explorer is not None
+        expand = self._explorer._backend.expand
         return {
             cid: tuple(expand(cid)[1::2])
             for cid in self.order_ids[: self.expansions]
@@ -506,85 +528,62 @@ class ExplorationResult:
         return len(self.order_ids)
 
     def to_portable(self) -> Dict[str, object]:
-        """A self-contained, picklable rendering of this graph.
+        """This graph as a packed, picklable cache entry.
 
-        Intern ids are explorer-local, so the portable form re-keys
-        everything by *position*: ``nodes`` lists each configuration's
-        raw field triple (order first, then any extra ids a truncated
-        search referenced but never visited), and edges/parents refer
-        to node positions. The structure is plain tuples/lists/ints in
-        BFS order — its ``repr`` is bit-stable across interpreter runs,
-        which is what :func:`repro.analysis.cache.graph_digest` relies
-        on. Rehydrate with :meth:`Explorer.adopt_portable`.
+        The entry is the kernel's own state, not the graph's objects:
+
+        * ``locals``/``statuses``/``objects`` — the encoder's code
+          tables, each slot's values in first-seen order;
+        * ``edges`` — ``(pid, choice, response)`` in edge-id order;
+        * ``operations`` — per pid, the ``(local code, operation)``
+          pairs its invoking local states were resolved to (what a load
+          checks against the explorer's own processes);
+        * ``rows`` — every interned row, cid order, as little-endian
+          32-bit codes;
+        * ``adjacency``/``offsets`` — the recorded flat ``[eid, tid,
+          ...]`` runs of the expanded ids ``0..expansions-1`` and their
+          boundaries, as little-endian 32-bit ints;
+        * ``complete`` and ``budget`` (the walk's
+          ``max_configurations``).
+
+        Order and parents are not stored: :meth:`Explorer.adopt_portable`
+        loads the entry into a fresh explorer and walks it again with
+        the same budget, which rebuilds them byte for byte. The walk
+        must be its explorer's first (ids in discovery order, which
+        every walk of a fresh explorer has) and unreduced; anything else
+        raises :class:`~repro.errors.AnalysisError`.
         """
-        assert self.intern is not None
-        value = self.intern.value
-        positions: Dict[int, int] = {}
-        node_ids: List[int] = []
-
-        def register(cid: int) -> int:
-            pos = positions.get(cid)
-            if pos is None:
-                pos = len(node_ids)
-                positions[cid] = pos
-                node_ids.append(cid)
-            return pos
-
-        for cid in self.order_ids:
-            register(cid)
-        order_len = len(node_ids)
-        successors = []
-        for cid, entries in self.successor_ids.items():
-            cpos = register(cid)
-            successors.append(
-                (
-                    cpos,
-                    tuple(
-                        (edge.pid, edge.choice, edge.response, register(tid))
-                        for edge, tid in entries
-                    ),
-                )
+        if self.reduced:
+            raise AnalysisError(
+                "a symmetry-reduced graph has no portable form; cache the "
+                "full walk"
             )
-        parents = []
-        for tid, (cid, edge) in self.parent_ids.items():
-            parents.append(
-                (
-                    register(tid),
-                    register(cid),
-                    edge.pid,
-                    edge.choice,
-                    edge.response,
-                )
+        assert self._explorer is not None
+        expanded = self.expansions
+        if self.order_ids[:expanded] != list(range(expanded)):
+            raise AnalysisError(
+                "to_portable needs its explorer's first walk (ids in "
+                "discovery order from id 0)"
             )
-        parent_perms = [
-            (register(cid), perm) for cid, perm in self.parent_perms.items()
-        ]
-        nodes = [
-            (
-                value(cid).process_states,
-                value(cid).statuses,
-                value(cid).object_states,
-            )
-            for cid in node_ids
-        ]
-        source_node = None
-        if self.source_initial is not None:
-            source_node = (
-                self.source_initial.process_states,
-                self.source_initial.statuses,
-                self.source_initial.object_states,
-            )
+        explorer = self._explorer
+        local_tables, status_table, object_tables = explorer._encoder.tables()
+        rows, adjacency, offsets = explorer._backend.export_graph(expanded)
         return {
-            "version": 1,
             "complete": self.complete,
-            "nodes": nodes,
-            "order_len": order_len,
-            "successors": successors,
-            "parents": parents,
-            "reduced": self.reduced,
-            "source_node": source_node,
-            "initial_permutation": self.initial_permutation,
-            "parent_perms": parent_perms,
+            "budget": self.max_configurations,
+            "locals": local_tables,
+            "statuses": status_table,
+            "objects": object_tables,
+            "edges": tuple(
+                (edge.pid, edge.choice, edge.response)
+                for edge in explorer._edge_list
+            ),
+            "operations": tuple(
+                tuple(invoked.items()) for invoked in explorer._operations
+            ),
+            "rows": rows,
+            "adjacency": adjacency,
+            "offsets": offsets,
         }
 
 
@@ -689,6 +688,15 @@ class Explorer:
         )
         self._index_of = {name: i for i, name in enumerate(self.object_names)}
         self.processes: Tuple[ProcessAutomaton, ...] = tuple(processes)
+        #: The resolved backend name ("python" or "compiled").
+        self.kernel: str = select_kernel(kernel)
+        #: Frontier threads for the batch BFS; results are
+        #: byte-identical for every count (wall-clock knob only).
+        self.kernel_threads: int = select_threads(threads)
+        self._reset()
+
+    def _reset(self) -> None:
+        """(Re)create the packed kernel and every memo, all empty."""
         # -- packed kernel --------------------------------------------
         #: Structural slot codes; statuses seeded so RUNNING is code 0
         #: (the kernel's "enabled" test is a zero-test on that field).
@@ -697,8 +705,8 @@ class Explorer:
             len(self.specs),
             seed_statuses=(RUNNING, HALTED, ABORTED),
         )
-        self._backend, self.kernel = make_backend(
-            kernel,
+        self._backend, _name = make_backend(
+            self.kernel,
             self._encoder.n_fields,
             len(self.processes),
             self._resolve_invoke_codes,
@@ -727,8 +735,6 @@ class Explorer:
         self._step_results: Tuple[Dict[Tuple, Tuple[int, int, int]], ...] = (
             tuple({} for _ in self.processes)
         )
-        #: (pid, choice, response) -> the one Edge object for it.
-        self._edges: Dict[Tuple[ProcessId, int, Value], Edge] = {}
         #: (pid, choice, response) -> dense edge id; edge id -> Edge.
         #: Edge ids are what the kernel's flat adjacency carries.
         self._edge_ids: Dict[Tuple[ProcessId, int, Value], int] = {}
@@ -738,9 +744,9 @@ class Explorer:
         self._segment_cache: Dict[Tuple[int, ...], Tuple] = {}
         #: id -> reachable decision set (shared valency memo).
         self._decision_sets: Dict[int, FrozenSet[Value]] = {}
-        #: Frontier threads for the batch BFS; results are
-        #: byte-identical for every count (wall-clock knob only).
-        self.kernel_threads: int = select_threads(threads)
+        #: True while :meth:`adopt_portable` replays a loaded graph,
+        #: whose walk must never reach a hook.
+        self._replaying = False
 
     # -- configuration construction -----------------------------------------
 
@@ -813,6 +819,14 @@ class Explorer:
         local state carrying ``local_code`` (validating it is a
         well-formed Invoke on a known object). Memoizes the invoked
         operation for :meth:`_compute_delta_codes`."""
+        if self._replaying:
+            # A loaded kernel starts with an empty invoke table, so any
+            # expansion the loaded adjacency does not cover lands here
+            # first.
+            raise AnalysisError(
+                "cached graph does not replay: its walk left the loaded "
+                "adjacency"
+            )
         _, action = self._settle(pid, self._encoder.local_value(pid, local_code))
         if not isinstance(action, Invoke):
             raise AnalysisError(
@@ -871,15 +885,6 @@ class Explorer:
             encoder.status_code(self._settle(pid, local)[0]),
         )
 
-    def _edge(self, pid: ProcessId, choice: int, response: Value) -> Edge:
-        """The one memoized Edge object for (pid, choice, response)."""
-        key = (pid, choice, response)
-        edge = self._edges.get(key)
-        if edge is None:
-            edge = Edge(pid, choice, response)
-            self._edges[key] = edge
-        return edge
-
     def _edge_id(self, pid: ProcessId, choice: int, response: Value) -> int:
         """The dense id of (pid, choice, response), allocating if new."""
         key = (pid, choice, response)
@@ -887,7 +892,7 @@ class Explorer:
         if eid is None:
             eid = len(self._edge_list)
             self._edge_ids[key] = eid
-            self._edge_list.append(self._edge(pid, choice, response))
+            self._edge_list.append(Edge(pid, choice, response))
         return eid
 
     def _entries_from_flat(
@@ -1007,43 +1012,49 @@ class Explorer:
                     "explorer.frontier", depth=depth, width=width, seen=seen
                 )
 
+        result, rounds = self._walk(
+            start, start_id, max_configurations, on_round
+        )
+        if strict and not result.complete:
+            raise ExplorationBudgetExceeded(
+                f"exceeded {max_configurations} configurations"
+            )
+
+        if obs.enabled():
+            obs.counter("explorer.explorations")
+            obs.counter("explorer.configurations", len(result.order_ids))
+            obs.counter("explorer.expansions", result.expansions)
+            obs.counter("explorer.interned", len(intern) - intern_before)
+            obs.histogram("explorer.depth", rounds)
+            if not result.complete:
+                obs.counter("explorer.truncations")
+        return result
+
+    def _walk(
+        self,
+        start: Configuration,
+        start_id: int,
+        max_configurations: int,
+        on_round: Optional[Callable[[int, int, int], None]] = None,
+    ) -> Tuple[ExplorationResult, int]:
+        """One batch BFS in the kernel: ``(result, rounds)``."""
         order_ids, parent_triples, complete, expansions, rounds = (
             self._backend.run_bfs(
                 start_id, max_configurations, on_round, self.kernel_threads
             )
         )
-        if strict and not complete:
-            raise ExplorationBudgetExceeded(
-                f"exceeded {max_configurations} configurations"
-            )
-
-        edge_list = self._edge_list
-        triples = iter(parent_triples)
-        parent_ids: Dict[int, Tuple[int, Edge]] = {
-            tid: (cid, edge_list[eid])
-            for tid, cid, eid in zip(triples, triples, triples)
-        }
-
-        if obs.enabled():
-            obs.counter("explorer.explorations")
-            obs.counter("explorer.configurations", len(order_ids))
-            obs.counter("explorer.expansions", expansions)
-            obs.counter("explorer.interned", len(intern) - intern_before)
-            obs.histogram("explorer.depth", rounds)
-            if not complete:
-                obs.counter("explorer.truncations")
-
-        return ExplorationResult(
+        result = ExplorationResult(
             initial=start,
             complete=complete,
-            intern=intern,
-            order_ids=list(order_ids),
-            parent_ids=parent_ids,
+            intern=self._intern,
+            order_ids=order_ids,
             source_initial=start,
             expansions=expansions,
-            edge_resolver=edge_list.__getitem__,
-            adjacency=self._backend.expand,
+            max_configurations=max_configurations,
+            explorer=self,
+            parent_triples=parent_triples,
         )
+        return result, rounds
 
     def _explore_reduced(
         self,
@@ -1149,89 +1160,128 @@ class Explorer:
             initial_permutation=initial_perm,
             parent_perms=parent_perms,
             expansions=expansions,
+            max_configurations=max_configurations,
         )
 
     def adopt_portable(
         self, portable: Mapping[str, object]
     ) -> ExplorationResult:
-        """Rehydrate a :meth:`ExplorationResult.to_portable` graph.
+        """Load a :meth:`ExplorationResult.to_portable` entry and walk it.
 
-        Every configuration is re-interned into *this* explorer (ids
-        are re-allocated; positions in the portable form map onto the
-        local intern table), statuses are re-canonicalized onto the
-        module singletons (``RUNNING``/``HALTED``/``ABORTED`` are
-        compared by identity throughout the calculus), and — for
-        unreduced graphs — the successor relation is installed into the
-        memo, so every downstream analysis (``schedule_to``, the
-        decision fixpoint, livelock DFS, ``step``) runs on the cached
-        graph without re-deriving a single edge.
+        The explorer must be fresh (nothing interned yet). The code
+        tables and edges are installed first — statuses equal to the
+        seed statuses become the ``RUNNING``/``HALTED``/``ABORTED``
+        singletons the calculus compares by identity — then the
+        backend bulk-loads the rows and the recorded adjacency, and the
+        ordinary kernel BFS runs from this explorer's initial
+        configuration with the stored budget. That walk reads only the
+        loaded adjacency (no hook call, no new row), so ``order_ids``,
+        parents, ``expansions``, ``successor_ids`` and every digest come
+        out as on the cold walk, and later ``step``/``successors``/
+        ``to_portable`` read the loaded memo.
+
+        An entry that does not fit this explorer's protocol — tables of
+        the wrong shape, a code, edge or id out of range, an invoked
+        operation these processes would not invoke, a first row that is
+        not the initial configuration, a walk that does not replay —
+        raises ValueError or AnalysisError (TypeError or LookupError for
+        a malformed mapping), and the explorer is reset to fresh.
         """
-        nodes = portable["nodes"]
-        new_ids: List[int] = []
-        intern = self._intern
-        for states, statuses, objects in nodes:  # type: ignore[union-attr]
-            canonical_statuses = tuple(
-                _STATUS_SINGLETONS.get(status, status) for status in statuses
+        if len(self._intern):
+            raise AnalysisError(
+                "adopt_portable needs a fresh explorer; this one has "
+                "already interned configurations"
             )
-            config = Configuration(
-                tuple(states), canonical_statuses, tuple(objects)
-            )
-            new_ids.append(intern.intern(config))
-        successor_ids: Dict[int, Tuple[Tuple[Edge, int], ...]] = {}
-        for cpos, entries in portable["successors"]:  # type: ignore[union-attr]
-            cid = new_ids[cpos]
-            mapped = tuple(
-                (self._edge(pid, choice, response), new_ids[tpos])
-                for pid, choice, response, tpos in entries
-            )
-            successor_ids[cid] = mapped
-        reduced = bool(portable["reduced"])
-        if not reduced:
-            # A reduced graph's edges target orbit representatives, not
-            # raw successors — only unreduced relations may seed the
-            # successor memo.
-            for cid, mapped in successor_ids.items():
-                self._succ_cache.setdefault(cid, mapped)
-        parent_ids: Dict[int, Tuple[int, Edge]] = {}
-        for tpos, ppos, pid, choice, response in portable["parents"]:  # type: ignore[union-attr]
-            parent_ids[new_ids[tpos]] = (
-                new_ids[ppos],
-                self._edge(pid, choice, response),
-            )
-        order_ids = new_ids[: portable["order_len"]]  # type: ignore[index]
-        initial = intern.value(order_ids[0])
-        source_initial = initial
-        source_node = portable["source_node"]
-        if source_node is not None:
-            states, statuses, objects = source_node  # type: ignore[misc]
-            canonical_statuses = tuple(
-                _STATUS_SINGLETONS.get(status, status) for status in statuses
-            )
-            source_initial = intern.canonical(
-                Configuration(tuple(states), canonical_statuses, tuple(objects))
-            )
-        parent_perms = {
-            new_ids[pos]: tuple(perm)
-            for pos, perm in portable["parent_perms"]  # type: ignore[union-attr]
-        }
-        initial_permutation = portable["initial_permutation"]
-        return ExplorationResult(
-            initial=initial,
-            complete=bool(portable["complete"]),
-            intern=intern,
-            order_ids=list(order_ids),
-            successor_ids=successor_ids,
-            parent_ids=parent_ids,
-            reduced=reduced,
-            source_initial=source_initial,
-            initial_permutation=(
-                tuple(initial_permutation)
-                if initial_permutation is not None
-                else None
-            ),
-            parent_perms=parent_perms,
-            expansions=len(successor_ids),
+        try:
+            return self._adopt(portable)
+        except BaseException:
+            self._reset()
+            raise
+
+    def _adopt(self, portable: Mapping[str, object]) -> ExplorationResult:
+        encoder = self._encoder
+        encoder.restore(
+            portable["locals"],  # type: ignore[arg-type]
+            portable["statuses"],  # type: ignore[arg-type]
+            portable["objects"],  # type: ignore[arg-type]
         )
+        n_processes = len(self.processes)
+        for pid, choice, response in portable["edges"]:  # type: ignore[union-attr]
+            if (
+                type(pid) is not int
+                or not 0 <= pid < n_processes
+                or type(choice) is not int
+                or choice < 0
+            ):
+                raise ValueError(f"edge ({pid!r}, {choice!r}) out of range")
+            if self._edge_id(pid, choice, response) != len(self._edge_list) - 1:
+                raise ValueError(f"edge table repeats ({pid}, {choice})")
+        operations = portable["operations"]
+        if len(operations) != n_processes:  # type: ignore[arg-type]
+            raise ValueError("operation table does not match the processes")
+        limits = encoder.slot_limits()
+        for pid, invoked in enumerate(operations):  # type: ignore[arg-type]
+            for code, operation in invoked:
+                if type(code) is not int or not 0 <= code < limits[pid]:
+                    raise ValueError(f"local code {code!r} out of range")
+                try:
+                    _status, action = self._settle(
+                        pid, encoder.local_value(pid, code)
+                    )
+                except Exception as exc:
+                    # The loaded value is no state of this process: its
+                    # automaton cannot even say what it does next.
+                    raise AnalysisError(
+                        f"cached local state {code} of process {pid} is "
+                        f"not one of its states"
+                    ) from exc
+                if (
+                    not isinstance(action, Invoke)
+                    or action.obj not in self._index_of
+                    or action.operation != operation
+                ):
+                    raise AnalysisError(
+                        f"cached graph has process {pid} invoke "
+                        f"{operation!r}, which this explorer's process "
+                        f"does not"
+                    )
+                self._operations[pid][code] = operation
+        offsets = portable["offsets"]
+        self._backend.load_graph(
+            portable["rows"],
+            limits,
+            portable["adjacency"],
+            offsets,
+            len(self._edge_list),
+        )
+        initial = self.initial_configuration()
+        row = encoder.peek(
+            initial.process_states, initial.statuses, initial.object_states
+        )
+        if row is None or self._backend.find_row(row) != 0:
+            raise AnalysisError(
+                "cached graph does not start at this explorer's initial "
+                "configuration"
+            )
+        budget = portable["budget"]
+        if type(budget) is not int:
+            raise ValueError(f"walk budget {budget!r} is not an int")
+        self._replaying = True
+        try:
+            result, _rounds = self._walk(
+                self._intern.canonical(initial), 0, budget
+            )
+        finally:
+            self._replaying = False
+        if (
+            result.complete != portable["complete"]
+            or result.expansions != len(offsets) // 4 - 1  # type: ignore[arg-type]
+        ):
+            raise AnalysisError(
+                "cached graph does not replay: its walk left the loaded "
+                "adjacency"
+            )
+        return result
 
     def _canonicalize(
         self, config: Configuration, symmetry: "ProcessSymmetry"

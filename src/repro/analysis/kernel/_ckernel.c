@@ -21,6 +21,11 @@
  * ids, edge order, budget truncation, orders, parents, and digests
  * are byte-identical across backends and thread counts.
  *
+ * export_graph / load_graph move the interned rows and the recorded
+ * adjacency in and out as little-endian 32-bit buffers: the
+ * exploration cache's packed entry, loaded in bulk and validated in C
+ * so a hostile entry raises ValueError instead of reaching the BFS.
+ *
  * All heap state uses the PyMem_Raw* allocators, which are legal
  * without the GIL; the low-level helpers never set Python errors
  * (GIL-holding boundaries raise MemoryError after the fact).
@@ -1038,6 +1043,257 @@ KernelState_status_key(KernelState *self, PyObject *arg)
     return result;
 }
 
+/* ---------------------------------------------------------------------
+ * Bulk export and load: the exploration cache's packed entry
+ *
+ * Three little-endian 32-bit buffers: every interned row in cid order
+ * (n_fields codes each), the recorded flat [eid, tid, ...] adjacency
+ * of cids 0..k-1 concatenated, and its k + 1 offsets. The byte order
+ * is fixed so entries are backend- and host-neutral.
+ * ------------------------------------------------------------------ */
+
+static inline uint32_t
+le32_get(const unsigned char *p)
+{
+    return (uint32_t)p[0] | ((uint32_t)p[1] << 8) | ((uint32_t)p[2] << 16) |
+           ((uint32_t)p[3] << 24);
+}
+
+static inline void
+le32_put(unsigned char *p, uint32_t value)
+{
+    p[0] = (unsigned char)value;
+    p[1] = (unsigned char)(value >> 8);
+    p[2] = (unsigned char)(value >> 16);
+    p[3] = (unsigned char)(value >> 24);
+}
+
+/* Drop every interned row and recorded adjacency: back to the empty
+ * kernel a load starts from (the load's rollback on failure). */
+static void
+kernel_reset_rows(KernelState *self)
+{
+    for (Py_ssize_t cid = 0; cid < self->row_count; cid++) {
+        PyMem_RawFree(self->adj[cid]);
+        self->adj[cid] = NULL;
+        self->adj_len[cid] = -1;
+    }
+    self->row_count = 0;
+    for (Py_ssize_t i = 0; i < self->table_size; i++) {
+        self->table[i] = -1;
+    }
+}
+
+static PyObject *
+KernelState_export_graph(KernelState *self, PyObject *arg)
+{
+    Py_ssize_t expanded = PyLong_AsSsize_t(arg);
+    if (expanded == -1 && PyErr_Occurred()) {
+        return NULL;
+    }
+    if (expanded < 0 || expanded > self->row_count) {
+        PyErr_Format(PyExc_ValueError, "expanded count %zd out of range",
+                     expanded);
+        return NULL;
+    }
+    Py_ssize_t total = 0;
+    for (Py_ssize_t cid = 0; cid < expanded; cid++) {
+        if (self->adj_len[cid] < 0) {
+            PyErr_Format(PyExc_ValueError,
+                         "configuration %zd was never expanded", cid);
+            return NULL;
+        }
+        total += self->adj_len[cid];
+    }
+    Py_ssize_t n_codes = self->row_count * self->n_fields;
+    PyObject *rows = PyBytes_FromStringAndSize(NULL, n_codes * 4);
+    PyObject *adjacency = PyBytes_FromStringAndSize(NULL, total * 4);
+    PyObject *offsets = PyBytes_FromStringAndSize(NULL, (expanded + 1) * 4);
+    if (rows == NULL || adjacency == NULL || offsets == NULL) {
+        Py_XDECREF(rows);
+        Py_XDECREF(adjacency);
+        Py_XDECREF(offsets);
+        return NULL;
+    }
+    unsigned char *out = (unsigned char *)PyBytes_AS_STRING(rows);
+    for (Py_ssize_t i = 0; i < n_codes; i++) {
+        le32_put(out + i * 4, self->rows[i]);
+    }
+    unsigned char *flat = (unsigned char *)PyBytes_AS_STRING(adjacency);
+    unsigned char *offs = (unsigned char *)PyBytes_AS_STRING(offsets);
+    Py_ssize_t at = 0;
+    le32_put(offs, 0);
+    for (Py_ssize_t cid = 0; cid < expanded; cid++) {
+        const int32_t *adj = self->adj[cid];
+        for (int32_t k = 0; k < self->adj_len[cid]; k++) {
+            le32_put(flat + (at++) * 4, (uint32_t)adj[k]);
+        }
+        le32_put(offs + (cid + 1) * 4, (uint32_t)at);
+    }
+    return Py_BuildValue("(NNN)", rows, adjacency, offsets);
+}
+
+/* Validate a whole entry against this empty kernel, then intern its
+ * rows in cid order and record the adjacency of cids 0..k-1. Nothing
+ * is touched until every code, offset, eid and tid has been checked;
+ * a repeated row or a memory error rolls the kernel back to empty. */
+static PyObject *
+KernelState_load_graph(KernelState *self, PyObject *args)
+{
+    Py_buffer rows, adjacency, offsets;
+    PyObject *limits;
+    Py_ssize_t n_edges;
+    if (!PyArg_ParseTuple(args, "y*Oy*y*n", &rows, &limits, &adjacency,
+                          &offsets, &n_edges)) {
+        return NULL;
+    }
+    PyObject *result = NULL;
+    uint32_t *bounds = NULL;
+    PyObject *fast = NULL;
+    int n_fields = self->n_fields;
+    const unsigned char *codes = rows.buf;
+    const unsigned char *flat = adjacency.buf;
+    const unsigned char *offs = offsets.buf;
+
+    if (self->row_count != 0) {
+        PyErr_SetString(PyExc_ValueError, "load_graph needs an empty kernel");
+        goto done;
+    }
+    if (rows.len % (4 * (Py_ssize_t)n_fields) != 0 || adjacency.len % 8 != 0 ||
+        offsets.len % 4 != 0 || offsets.len == 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "entry buffers are not whole rows, pairs and offsets");
+        goto done;
+    }
+    Py_ssize_t n_rows = rows.len / (4 * (Py_ssize_t)n_fields);
+    Py_ssize_t n_flat = adjacency.len / 4;
+    Py_ssize_t k = offsets.len / 4 - 1;
+    if (n_rows > INT32_MAX || n_flat > INT32_MAX || k > n_rows) {
+        PyErr_SetString(PyExc_ValueError, "entry larger than its rows allow");
+        goto done;
+    }
+    fast = PySequence_Fast(limits, "slot limits must be a sequence");
+    if (fast == NULL) {
+        goto done;
+    }
+    if (PySequence_Fast_GET_SIZE(fast) != n_fields) {
+        PyErr_Format(PyExc_ValueError, "expected %d slot limits", n_fields);
+        goto done;
+    }
+    bounds = PyMem_RawMalloc((size_t)n_fields * sizeof(uint32_t));
+    if (bounds == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (int i = 0; i < n_fields; i++) {
+        long bound = PyLong_AsLong(PySequence_Fast_GET_ITEM(fast, i));
+        if (bound == -1 && PyErr_Occurred()) {
+            goto done;
+        }
+        if (bound < 0 || bound > (1L << FIELD_BITS)) {
+            PyErr_Format(PyExc_ValueError, "slot limit %ld out of range",
+                         bound);
+            goto done;
+        }
+        bounds[i] = (uint32_t)bound;
+    }
+    for (Py_ssize_t cid = 0; cid < n_rows; cid++) {
+        const unsigned char *row = codes + cid * n_fields * 4;
+        for (int i = 0; i < n_fields; i++) {
+            uint32_t code = le32_get(row + i * 4);
+            if (code >= bounds[i]) {
+                PyErr_Format(PyExc_ValueError,
+                             "code %lu outside the table of slot %d",
+                             (unsigned long)code, i);
+                goto done;
+            }
+        }
+    }
+    if (le32_get(offs) != 0 || le32_get(offs + k * 4) != (uint32_t)n_flat) {
+        PyErr_SetString(PyExc_ValueError,
+                        "adjacency offsets do not span the adjacency");
+        goto done;
+    }
+    for (Py_ssize_t cid = 0; cid < k; cid++) {
+        uint32_t begin = le32_get(offs + cid * 4);
+        uint32_t end = le32_get(offs + (cid + 1) * 4);
+        if (end < begin || end > (uint32_t)n_flat || (end - begin) % 2) {
+            PyErr_Format(PyExc_ValueError,
+                         "adjacency offsets of configuration %zd are "
+                         "not monotone pairs", cid);
+            goto done;
+        }
+    }
+    for (Py_ssize_t i = 0; i < n_flat; i += 2) {
+        int32_t eid = (int32_t)le32_get(flat + i * 4);
+        int32_t tid = (int32_t)le32_get(flat + (i + 1) * 4);
+        if (eid < 0 || eid >= n_edges || tid < 0 || tid >= n_rows) {
+            PyErr_Format(PyExc_ValueError,
+                         "adjacency entry (%ld, %ld) out of range",
+                         (long)eid, (long)tid);
+            goto done;
+        }
+    }
+
+    /* Size the arena and the hash table once, not by doubling. */
+    while (self->row_cap < n_rows) {
+        if (kernel_grow_rows(self) < 0) {
+            PyErr_NoMemory();
+            goto done;
+        }
+    }
+    while (n_rows * 3 >= self->table_size * 2) {
+        if (kernel_grow_table(self) < 0) {
+            PyErr_NoMemory();
+            goto done;
+        }
+    }
+    for (Py_ssize_t cid = 0; cid < n_rows; cid++) {
+        for (int i = 0; i < n_fields; i++) {
+            self->scratch[i] = le32_get(codes + (cid * n_fields + i) * 4);
+        }
+        Py_ssize_t got = kernel_intern(self, self->scratch);
+        if (got != cid) {
+            kernel_reset_rows(self);
+            if (got < 0) {
+                PyErr_NoMemory();
+            } else {
+                PyErr_Format(PyExc_ValueError,
+                             "row %zd repeats row %zd", cid, got);
+            }
+            goto done;
+        }
+    }
+    for (Py_ssize_t cid = 0; cid < k; cid++) {
+        uint32_t begin = le32_get(offs + cid * 4);
+        int32_t len = (int32_t)(le32_get(offs + (cid + 1) * 4) - begin);
+        int32_t *adj = NULL;
+        if (len) {
+            adj = PyMem_RawMalloc((size_t)len * sizeof(int32_t));
+            if (adj == NULL) {
+                kernel_reset_rows(self);
+                PyErr_NoMemory();
+                goto done;
+            }
+            for (int32_t j = 0; j < len; j++) {
+                adj[j] = (int32_t)le32_get(flat + ((Py_ssize_t)begin + j) * 4);
+            }
+        }
+        self->adj[cid] = adj;
+        self->adj_len[cid] = len;
+    }
+    result = Py_None;
+    Py_INCREF(result);
+
+done:
+    PyMem_RawFree(bounds);
+    Py_XDECREF(fast);
+    PyBuffer_Release(&rows);
+    PyBuffer_Release(&adjacency);
+    PyBuffer_Release(&offsets);
+    return result;
+}
+
 static PyObject *
 KernelState_run_bfs(KernelState *self, PyObject *args)
 {
@@ -1366,6 +1622,11 @@ static PyMethodDef KernelState_methods[] = {
      "The process status codes of cid as a tuple."},
     {"run_bfs", (PyCFunction)KernelState_run_bfs, METH_VARARGS,
      "Batch BFS: (order, parents, complete, expansions, rounds)."},
+    {"export_graph", (PyCFunction)KernelState_export_graph, METH_O,
+     "(rows, adjacency, offsets) little-endian buffers of the rows and "
+     "the adjacency of cids below the argument."},
+    {"load_graph", (PyCFunction)KernelState_load_graph, METH_VARARGS,
+     "Bulk-load export_graph buffers into an empty kernel (validated)."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -14,19 +14,43 @@ Protocol semantics stay in Python land: when a ``(pid, local)`` or
 ``(pid, local, obj)`` key misses its table the kernel calls back into
 the explorer (``resolve_invoke`` / ``compute_deltas``) exactly once,
 then replays the memoized result forever after. The compiled backend
-mirrors this contract byte-for-byte — same ids, same edge order.
+mirrors this contract byte-for-byte — same ids, same edge order — and
+the same ``export_graph``/``load_graph`` buffers, so an exploration
+cache entry written by one backend loads into the other.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
+from itertools import accumulate, chain
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .encoding import FIELD_BITS
+from .encoding import FIELD_BITS, MAX_CODE
 
 #: Backend name reported through ``Explorer.kernel``/benches.
 NAME = "python"
 
 _MASK = (1 << FIELD_BITS) - 1
+
+#: Bytes of one packed field inside a big-int word.
+_FIELD_BYTES = FIELD_BITS // 8
+
+
+def _le_bytes(values: array) -> bytes:
+    """The little-endian bytes of a 32-bit array (the entry byte order)."""
+    if sys.byteorder == "big":
+        values.byteswap()
+    return values.tobytes()
+
+
+def _from_le(typecode: str, data) -> array:
+    """A 32-bit array read from little-endian bytes."""
+    values = array(typecode)
+    values.frombytes(data)
+    if sys.byteorder == "big":
+        values.byteswap()
+    return values
 
 
 class PyKernel:
@@ -292,6 +316,108 @@ class PyKernel:
             depth += 1
             frontier = next_frontier
         return order, parents, True, expansions, rounds
+
+    # -- bulk export and load (the exploration cache's packed entry) ----------
+
+    def export_graph(self, expanded: int) -> Tuple[bytes, bytes, bytes]:
+        """``(rows, adjacency, offsets)`` as little-endian 32-bit bytes.
+
+        ``rows`` holds every interned row in cid order; ``adjacency``
+        the recorded flat ``[eid, tid, ...]`` runs of cids
+        ``0..expanded-1`` back to back, and ``offsets`` their
+        ``expanded + 1`` boundaries. :meth:`load_graph` reads it back.
+        """
+        if not 0 <= expanded <= len(self._words):
+            raise ValueError(f"expanded count {expanded} out of range")
+        runs = self._adjacency[:expanded]
+        if None in runs:
+            raise ValueError(f"configuration {runs.index(None)} was never expanded")
+        # Each word's little-endian bytes are its fields, three bytes
+        # apiece; widening every field to four bytes is a strided copy.
+        width = _FIELD_BYTES * self.n_fields
+        packed = b"".join(word.to_bytes(width, "little") for word in self._words)
+        rows = bytearray(len(packed) // _FIELD_BYTES * 4)
+        for byte in range(_FIELD_BYTES):
+            rows[byte::4] = packed[byte::_FIELD_BYTES]
+        offsets = array("i", [0])
+        offsets.extend(accumulate(map(len, runs)))
+        flat = array("i", chain.from_iterable(runs))
+        return bytes(rows), _le_bytes(flat), _le_bytes(offsets)
+
+    def load_graph(
+        self,
+        rows,
+        limits: Sequence[int],
+        adjacency,
+        offsets,
+        n_edges: int,
+    ) -> None:
+        """Load :meth:`export_graph` buffers into this empty kernel.
+
+        Row ``i`` becomes cid ``i``, and cids ``0..len(offsets)-2`` get
+        their adjacency recorded, so a BFS over them calls no hook.
+        Every slot code must lie below its slot's entry of ``limits``,
+        every eid below ``n_edges`` and every tid below the row count;
+        the offsets must be monotone, even, and span ``adjacency``. Any
+        violation raises ValueError before the kernel changes.
+        """
+        if self._words:
+            raise ValueError("load_graph needs an empty kernel")
+        n_fields = self.n_fields
+        if len(limits) != n_fields or not all(
+            0 <= limit <= MAX_CODE for limit in limits
+        ):
+            raise ValueError(f"expected {n_fields} slot limits within MAX_CODE")
+        codes = _from_le("I", rows)
+        if len(codes) % n_fields:
+            raise ValueError("row buffer is not a whole number of rows")
+        n_rows = len(codes) // n_fields
+        for slot, limit in enumerate(limits):
+            column = codes[slot::n_fields]
+            if column and max(column) >= limit:
+                raise ValueError(
+                    f"code {max(column)} outside the table of slot {slot}"
+                )
+        flat = _from_le("i", adjacency)
+        bounds = _from_le("i", offsets)
+        if (
+            not bounds
+            or len(bounds) - 1 > n_rows
+            or bounds[0] != 0
+            or bounds[-1] != len(flat)
+            or any(end < begin for begin, end in zip(bounds, bounds[1:]))
+            or any(bound & 1 for bound in bounds)
+        ):
+            raise ValueError("adjacency offsets are not monotone pairs")
+        eids, tids = flat[0::2], flat[1::2]
+        if flat and (
+            min(eids) < 0
+            or max(eids) >= n_edges
+            or min(tids) < 0
+            or max(tids) >= n_rows
+        ):
+            raise ValueError("adjacency entry out of range")
+        # Codes sit below MAX_CODE, so each field's fourth byte is zero
+        # and the word is the three low bytes of every field in order.
+        raw = bytes(rows)
+        packed = bytearray(len(raw) // 4 * _FIELD_BYTES)
+        for byte in range(_FIELD_BYTES):
+            packed[byte::_FIELD_BYTES] = raw[byte::4]
+        width = _FIELD_BYTES * n_fields
+        words = [
+            int.from_bytes(packed[at : at + width], "little")
+            for at in range(0, len(packed), width)
+        ]
+        ids = dict(zip(words, range(n_rows)))
+        if len(ids) != n_rows:
+            raise ValueError("row buffer repeats a row")
+        recorded: List[Optional[List[int]]] = [
+            flat[begin:end].tolist() for begin, end in zip(bounds, bounds[1:])
+        ]
+        recorded.extend([None] * (n_rows - len(recorded)))
+        self._ids = ids
+        self._words = words
+        self._adjacency = recorded
 
     # -- status access ----------------------------------------------------------
 

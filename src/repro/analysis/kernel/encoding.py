@@ -219,6 +219,60 @@ class PackedEncoder:
         )
         return states, statuses, objects
 
+    # -- saving and restoring (the exploration cache's packed entry) -----------
+
+    def tables(self) -> Tuple[Tuple, Tuple, Tuple]:
+        """Every slot's values in code order: (per-pid local states,
+        statuses, per-object states)."""
+        return (
+            tuple(tuple(values) for values in self._local_values),
+            tuple(self._status_values),
+            tuple(tuple(values) for values in self._object_values),
+        )
+
+    def restore(
+        self,
+        local_tables: Sequence[Sequence[Hashable]],
+        status_table: Sequence[Tuple],
+        object_tables: Sequence[Sequence[Hashable]],
+    ) -> None:
+        """Install :meth:`tables` output into this fresh encoder.
+
+        Every value gets its position as its code, so rows saved under
+        the tables decode to the same values here. The status table
+        must begin with this encoder's seed statuses, which keep their
+        identity. A table no encoder of this shape could have built
+        (wrong slot count, a repeated value, an overflow) raises
+        ValueError.
+        """
+        if any(self._local_values) or any(self._object_values):
+            raise ValueError("restore needs a fresh encoder")
+        if (
+            len(local_tables) != self.n_processes
+            or len(object_tables) != self.n_objects
+        ):
+            raise ValueError("code tables do not match this encoder's slots")
+        seeds = len(self._status_values)
+        if tuple(status_table[:seeds]) != tuple(self._status_values):
+            raise ValueError("status table does not begin with the seed statuses")
+        for ids, values, table in zip(
+            self._local_ids, self._local_values, local_tables
+        ):
+            _fill(ids, values, table)
+        _fill(self._status_ids, self._status_values, status_table[seeds:])
+        for ids, values, table in zip(
+            self._object_ids, self._object_values, object_tables
+        ):
+            _fill(ids, values, table)
+
+    def slot_limits(self) -> List[int]:
+        """Exclusive code bound of every row slot: its table's size."""
+        return (
+            [len(values) for values in self._local_values]
+            + [len(self._status_values)] * self.n_processes
+            + [len(values) for values in self._object_values]
+        )
+
     # -- introspection (property tests, docs) ---------------------------------
 
     def slot_sizes(self) -> Tuple[Tuple[int, ...], int, Tuple[int, ...]]:
@@ -228,3 +282,13 @@ class PackedEncoder:
             len(self._status_values),
             tuple(len(values) for values in self._object_values),
         )
+
+
+def _fill(ids: dict, values: List[Hashable], table: Sequence[Hashable]) -> None:
+    """Append ``table`` to one slot's code table, codes in order."""
+    for value in table:
+        if ids.setdefault(value, len(values)) != len(values):
+            raise ValueError(f"code table repeats {value!r}")
+        values.append(value)
+    if len(values) > MAX_CODE:
+        raise ValueError(f"code table exceeds {MAX_CODE} values")

@@ -113,9 +113,10 @@ class InvalidRequestError(ReproError):
 class CacheIntegrityError(AnalysisError):
     """A warm cache entry failed its digest validation.
 
-    Raised when a rehydrated payload does not reproduce the digest
-    recorded at store time — the entry is stale, corrupt, or was
-    written by an incompatible serializer, and using it could silently
+    Raised when a loaded payload does not reproduce the digest recorded
+    at store time, or does not load into the caller's explorer (codes,
+    ids or the initial configuration disagree with its protocol) — the
+    entry is stale, corrupt, or foreign, and using it could silently
     change a verdict. (Home base for
     :mod:`repro.analysis.cache`, which re-exports it.)
     """
